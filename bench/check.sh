@@ -95,6 +95,15 @@
 #                         FAILS on any mismatch, debris, or if the
 #                         hookless IO seam costs more than 2% over a
 #                         raw fsynced append loop)
+#  14. python3 perfbench/run.py --workload record-recheck --seed 1
+#        --seconds 5 --trace 0
+#                        (end-to-end correctness smoke test: records
+#                         every shipped model with a trace writer
+#                         attached, rechecks each trace on two
+#                         domains, and FAILS (non-zero exit) if any
+#                         recheck report differs byte for byte from
+#                         its live report or any run fails its checks;
+#                         only the exit status is gated, no timing)
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -141,5 +150,8 @@ dune exec bench/main.exe -- --quick --chaos-only
 
 echo "== durability gate (power-cut recovery soak; byte-identical resumes, <= 2% seam overhead)"
 dune exec bench/main.exe -- --quick --durability-only
+
+echo "== record/recheck end-to-end smoke (byte-identical reports; exit status only)"
+python3 perfbench/run.py --workload record-recheck --seed 1 --seconds 5 --trace 0
 
 echo "== all checks passed"

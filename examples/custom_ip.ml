@@ -83,14 +83,14 @@ module Mul8_rtl = struct
       ~sensitivity:[ Clock.posedge clock ] on_posedge;
     t
 
-  let lookup t name =
-    match name with
-    | "start" -> Some (Expr.VBool (Signal.read t.start))
-    | "a" -> Some (Expr.VInt (Signal.read t.a))
-    | "b" -> Some (Expr.VInt (Signal.read t.b))
-    | "done" -> Some (Expr.VBool (Signal.read t.done_))
-    | "product" -> Some (Expr.VInt (Signal.read t.product))
-    | _ -> None
+  (* The binding table: one typed reader per signal the properties may
+     name.  Checkers compile their atoms against it once, at attach. *)
+  let bindings t =
+    [ ("start", Expr.Bool_reader (fun () -> Signal.read t.start));
+      ("a", Expr.Int_reader (fun () -> Signal.read t.a));
+      ("b", Expr.Int_reader (fun () -> Signal.read t.b));
+      ("done", Expr.Bool_reader (fun () -> Signal.read t.done_));
+      ("product", Expr.Int_reader (fun () -> Signal.read t.product)) ]
 end
 
 (* ------------------------------------------------------------------ *)
@@ -119,10 +119,9 @@ let run_rtl ~properties =
   let kernel = Kernel.create () in
   let clock = Clock.create kernel ~name:"clk" ~period:clock_period () in
   let model = Mul8_rtl.create kernel clock in
+  let sampler = Sampler.create (Expr.resolver (Mul8_rtl.bindings model)) in
   let checkers =
-    List.map
-      (fun p -> Rtl_checker.attach kernel clock p ~lookup:(Mul8_rtl.lookup model))
-      properties
+    List.map (fun p -> Rtl_checker.attach ~sampler kernel clock p) properties
   in
   let results = ref [] in
   Process.method_process kernel ~name:"collect" ~initialize:false
@@ -161,13 +160,12 @@ let run_tlm ~model_latency_ns ~properties =
   (* Observable mirror. *)
   let start_obs = ref false and a_obs = ref 0 and b_obs = ref 0 in
   let done_obs = ref false and product_obs = ref 0 in
-  let lookup = function
-    | "start" -> Some (Expr.VBool !start_obs)
-    | "a" -> Some (Expr.VInt !a_obs)
-    | "b" -> Some (Expr.VInt !b_obs)
-    | "done" -> Some (Expr.VBool !done_obs)
-    | "product" -> Some (Expr.VInt !product_obs)
-    | _ -> None
+  let bindings =
+    [ ("start", Expr.Bool_reader (fun () -> !start_obs));
+      ("a", Expr.Int_reader (fun () -> !a_obs));
+      ("b", Expr.Int_reader (fun () -> !b_obs));
+      ("done", Expr.Bool_reader (fun () -> !done_obs));
+      ("product", Expr.Int_reader (fun () -> !product_obs)) ]
   in
   let ready_time = ref 0 and result = ref 0 in
   let transport payload =
@@ -194,7 +192,8 @@ let run_tlm ~model_latency_ns ~properties =
   let initiator = Tlm.Initiator.create kernel ~name:"mul8_init" in
   Tlm.Initiator.bind initiator target;
   let checkers =
-    List.map (fun p -> Wrapper.attach kernel initiator p ~lookup) properties
+    let sampler = Sampler.create (Expr.resolver bindings) in
+    List.map (fun p -> Wrapper.attach ~sampler kernel initiator p) properties
   in
   let results = ref [] in
   Process.spawn kernel ~name:"driver" (fun () ->

@@ -24,9 +24,9 @@ let exec_chunk ~trace ~properties =
   Tabv_checker.Progression.reset_universe ();
   Tabv_trace.Reader.with_file trace (fun reader ->
       let monitors =
-        Monitors_run.over_seq
+        Monitors_run.over_reader
           (Tabv_checker.Offline.Monitors.config properties)
-          (Tabv_trace.Reader.to_seq reader)
+          reader
       in
       ( Tabv_trace.Reader.samples reader,
         Tabv_trace.Reader.spans reader,

@@ -16,12 +16,12 @@ module Attach = struct
 
   type spec = {
     engine : Monitor.engine option;
-    sampler : Sampler.t option;
+    sampler : Sampler.t;
     mode : mode;
     metrics : Tabv_obs.Metrics.t option;
   }
 
-  let spec ?engine ?sampler ?metrics mode = { engine; sampler; mode; metrics }
+  let spec ?engine ?metrics ~sampler mode = { engine; sampler; mode; metrics }
   let clock_edge ?(clocks = []) clock = Clock_edge { clock; clocks }
   let transaction initiator = Transaction initiator
   let transaction_unabstracted initiator = Transaction_unabstracted initiator
@@ -36,27 +36,29 @@ type t = {
   monitor : Monitor.t;
   max_eps : int;
   mutable step_scheduled_for : int;  (* instant with a pending step, -1 if none *)
+  deferred_step : unit -> unit;  (* steps at [step_scheduled_for] *)
 }
 
 (* Every step goes through the batched sampler: priming reads the
    environment once per evaluation point and fans the valuations out
    to all monitors sharing the sampler (idempotent per instant), so
    the per-monitor step is answered from the cache. *)
-let step_primed monitor ~time lookup =
-  Sampler.prime (Monitor.sampler monitor) ~time lookup;
-  Monitor.step monitor ~time lookup
+let step_primed monitor ~time =
+  Sampler.prime (Monitor.sampler monitor) ~time;
+  Monitor.step monitor ~time
 
 (* Several transactions may end at the same instant; Def. III.2's
    transaction context evaluates the property once per instant, on the
    final observable state, exactly as an RTL checker evaluates once
    per clock edge.  The step is deferred by one delta cycle so every
-   same-instant mirror update lands first. *)
-let schedule_step t kernel lookup =
+   same-instant mirror update lands first.  The deferred closure is
+   the checker's own: the instant does not advance before the next
+   delta runs, so it reads the instant back from the checker. *)
+let schedule_step t kernel =
   let now = Kernel.now kernel in
   if t.step_scheduled_for <> now then begin
     t.step_scheduled_for <- now;
-    Kernel.schedule_next_delta kernel (fun () ->
-      step_primed t.monitor ~time:now lookup)
+    Kernel.schedule_next_delta kernel t.deferred_step
   end
 
 let require_transaction_context ~what property =
@@ -99,7 +101,7 @@ let register_metrics metrics monitor =
       Monitor.peak_distinct_states monitor)
   end
 
-let attach (spec : Attach.spec) kernel property ~lookup =
+let attach (spec : Attach.spec) kernel property =
   let { Attach.engine; sampler; mode; metrics } = spec in
   (* Validate the property context against the requested mode before
      synthesizing anything. *)
@@ -112,16 +114,23 @@ let attach (spec : Attach.spec) kernel property ~lookup =
        invalid_arg "Checker.attach: clock_period must be positive";
      require_transaction_context ~what:"grid" property
    | Attach.Clock_edge _ -> require_clock_context ~what:"clock-edge" property);
-  let monitor = Monitor.create ?engine ?sampler property in
+  let monitor = Monitor.create ?engine ~sampler property in
   let max_eps = Ltl.max_eps property.Property.formula in
-  let t = { monitor; max_eps; step_scheduled_for = -1 } in
+  let rec t =
+    {
+      monitor;
+      max_eps;
+      step_scheduled_for = -1;
+      deferred_step = (fun () -> step_primed monitor ~time:t.step_scheduled_for);
+    }
+  in
   (match mode with
    | Attach.Transaction initiator | Attach.Transaction_unabstracted initiator ->
      Tlm.Initiator.on_transaction initiator (fun _transaction ->
-       schedule_step t kernel lookup)
+       schedule_step t kernel)
    | Attach.Grid { clock_period; phase } ->
      let rec tick () =
-       step_primed monitor ~time:(Kernel.now kernel) lookup;
+       step_primed monitor ~time:(Kernel.now kernel);
        Kernel.schedule_after kernel ~delay:clock_period tick
      in
      Kernel.schedule_at kernel ~time:phase tick
@@ -143,7 +152,7 @@ let attach (spec : Attach.spec) kernel property ~lookup =
                  property.Property.name name))
        | Context.Transaction _ -> assert false (* validated above *)
      in
-     let sample () = step_primed monitor ~time:(Kernel.now kernel) lookup in
+     let sample () = step_primed monitor ~time:(Kernel.now kernel) in
      (match edge with
       | Context.Posedge -> Event.on_event (Clock.posedge sampling_clock) sample
       | Context.Negedge -> Event.on_event (Clock.negedge sampling_clock) sample

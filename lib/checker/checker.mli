@@ -42,21 +42,23 @@ module Attach : sig
         phase : int;
       }
 
-  (** The full attachment request.  [engine] defaults to the monitor's
-      default backend, [sampler] to a private per-monitor sampler, and
-      [metrics] to the kernel's registry ({!Kernel.metrics}) — pass an
-      explicit registry only to segregate instrumentation. *)
+  (** The full attachment request.  [sampler] reads the DUV's
+      signals (see {!Sampler.create}); share one across every checker
+      observing the same evaluation points.  [engine] defaults to the
+      monitor's default backend and [metrics] to the kernel's registry
+      ({!Kernel.metrics}) — pass an explicit registry only to
+      segregate instrumentation. *)
   type spec = {
     engine : Monitor.engine option;
-    sampler : Sampler.t option;
+    sampler : Sampler.t;
     mode : mode;
     metrics : Tabv_obs.Metrics.t option;
   }
 
   val spec :
     ?engine:Monitor.engine ->
-    ?sampler:Sampler.t ->
     ?metrics:Tabv_obs.Metrics.t ->
+    sampler:Sampler.t ->
     mode ->
     spec
 
@@ -75,8 +77,9 @@ end
 
 type t
 
-(** [attach spec kernel property ~lookup] synthesizes the checker and
-    hooks it to the evaluation-point source selected by [spec.mode].
+(** [attach spec kernel property] synthesizes the checker and hooks
+    it to the evaluation-point source selected by [spec.mode]; the
+    checker reads the environment through [spec.sampler].
 
     When the effective metrics registry is enabled, the checker
     registers pull probes so the registry totals checker activity
@@ -91,12 +94,7 @@ type t
     the mode (clock context on a transaction/grid mode, transaction
     context on a clock-edge/unabstracted mode), when a named clock is
     absent from [clocks], or when a grid period is not positive. *)
-val attach :
-  Attach.spec ->
-  Kernel.t ->
-  Property.t ->
-  lookup:(string -> Expr.value option) ->
-  t
+val attach : Attach.spec -> Kernel.t -> Property.t -> t
 
 val monitor : t -> Monitor.t
 val failures : t -> Monitor.failure list

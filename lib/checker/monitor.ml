@@ -38,15 +38,6 @@ type instance = {
   mutable obligation : list_obligation;
 }
 
-(* One distinct live state of the interned engine with every
-   activation time currently in that state (ascending; activation
-   times are unique per monitor, so no counts are needed beyond the
-   list length). *)
-type live_state = {
-  state : Progression.t;
-  mutable activations_at : int list;
-}
-
 (* Counter deltas of the most recent {!step}, for the stutter fast
    path: when the caller knows the relevant valuation is unchanged
    since the previous evaluation point, a step whose outcome cannot
@@ -57,17 +48,23 @@ type live_state = {
    unchanged valuation, so its cache-counter deltas are already in
    the steady (memo-warm) regime and replaying them is exact; a step
    with zero cache misses is in that regime regardless (repeating it
-   is guaranteed to hit the just-written memo entries again). *)
+   is guaranteed to hit the just-written memo entries again).  One
+   record per monitor, rewritten in place by every step. *)
 type step_memo = {
-  m_steps : int;
-  m_activations : int;
-  m_passes : int;
-  m_trivial : int;
-  m_hits : int;
-  m_misses : int;
-  m_eligible : bool;
-  m_stuttered : bool;
+  mutable m_valid : bool;  (* some step has been recorded *)
+  mutable m_steps : int;
+  mutable m_activations : int;
+  mutable m_passes : int;
+  mutable m_trivial : int;
+  mutable m_hits : int;
+  mutable m_misses : int;
+  mutable m_eligible : bool;
+  mutable m_stuttered : bool;
 }
+
+(* Slot codes of [remap] for states that resolved this step. *)
+let passed = -1
+let failed = -2
 
 type t = {
   property : Property.t;
@@ -78,7 +75,19 @@ type t = {
   gate : Expr.t option;
   gate_atom : Interned.t option;  (* gate as interned atom, for sharing *)
   sampler : Sampler.t;
-  mutable live : live_state list;  (* interned engine, insertion order *)
+  (* Interned engine: the live multiset in arrays.  [states] holds the
+     distinct live states in first-appearance order; every live
+     instance is one ([inst_time], [inst_slot]) pair, ascending by
+     activation time (activations only ever append the current,
+     latest instant).  [next_states] and [remap] are the scratch space
+     of one step, kept between steps so stepping allocates nothing. *)
+  mutable states : Progression.t array;
+  mutable n_states : int;
+  mutable next_states : Progression.t array;
+  mutable remap : int array;  (* old slot -> new slot, [passed], [failed] *)
+  mutable inst_time : int array;
+  mutable inst_slot : int array;
+  mutable n_inst : int;
   mutable instances : instance list;  (* legacy/auto engines, newest first *)
   mutable started : bool;
   mutable failures : failure list;  (* unordered; sorted on read *)
@@ -93,7 +102,7 @@ type t = {
   (* Delta-replay memoization is opt-in (offline re-checking pools):
      live checking must not pay the per-step capture. *)
   mutable memo_enabled : bool;
-  mutable memo : step_memo option;
+  memo : step_memo;
 }
 
 let gate_of_context = function
@@ -105,7 +114,7 @@ let gate_of_context = function
   | Context.Transaction Context.Base_trans -> None
   | Context.Transaction (Context.Trans_and gate) -> Some gate
 
-let create ?(engine = `Progression) ?sampler property =
+let create ?(engine = `Progression) ~sampler property =
   let normalized = Nnf.convert (Ltl.demote_booleans property.Property.formula) in
   let repeating, body =
     match normalized with
@@ -127,25 +136,24 @@ let create ?(engine = `Progression) ?sampler property =
   in
   let gate = gate_of_context property.Property.context in
   let gate_atom = Option.map Interned.atom gate in
-  let sampler =
-    match sampler with
-    | Some s -> s
-    | None -> Sampler.create ()
-  in
   (* Batched sampling: hand the monitor's atom set to the sampler up
-     front.  Progression only rewrites the registered formula, so the
-     atom set is closed under stepping; the interned backend is the
-     one that reads atoms through the sampler, and the gate is
-     sampler-read on every backend. *)
-  (match backend with
-   | Interned_backend _ ->
-     ignore
-       (Ltl.map_atoms
-          (fun e ->
-            Sampler.register sampler (Interned.atom e);
-            e)
-          body)
-   | Legacy_backend | Auto_backend _ -> ());
+     front, which compiles each atom's reader once.  Progression only
+     rewrites the registered formula, so the atom set is closed under
+     stepping; the interned backend is the one that reads atoms
+     through the sampler, and the gate is sampler-read on every
+     backend. *)
+  let states =
+    match backend with
+    | Interned_backend initial ->
+      ignore
+        (Ltl.map_atoms
+           (fun e ->
+             Sampler.register sampler (Interned.atom e);
+             e)
+           body);
+      Array.make 4 initial
+    | Legacy_backend | Auto_backend _ -> [||]
+  in
   Option.iter (Sampler.register sampler) gate_atom;
   {
     property;
@@ -156,7 +164,13 @@ let create ?(engine = `Progression) ?sampler property =
     gate;
     gate_atom;
     sampler;
-    live = [];
+    states;
+    n_states = 0;
+    next_states = Array.copy states;
+    remap = Array.make (Array.length states) passed;
+    inst_time = Array.make (Array.length states) 0;
+    inst_slot = Array.make (Array.length states) 0;
+    n_inst = 0;
     instances = [];
     started = false;
     failures = [];
@@ -169,7 +183,18 @@ let create ?(engine = `Progression) ?sampler property =
     cache_hits = 0;
     cache_misses = 0;
     memo_enabled = false;
-    memo = None;
+    memo =
+      {
+        m_valid = false;
+        m_steps = 0;
+        m_activations = 0;
+        m_passes = 0;
+        m_trivial = 0;
+        m_hits = 0;
+        m_misses = 0;
+        m_eligible = false;
+        m_stuttered = false;
+      };
   }
 
 let property t = t.property
@@ -187,81 +212,116 @@ let record_failure t ~activation_time ~failure_time =
 
 (* --- interned engine: multiset of hash-consed states --------------- *)
 
-let rec merge_sorted a b =
-  match a, b with
-  | [], l | l, [] -> l
-  | x :: xs, y :: ys ->
-    if x <= y then x :: merge_sorted xs b else y :: merge_sorted a ys
+let grow arr need filler =
+  if Array.length arr >= need then arr
+  else begin
+    let bigger = Array.make (max need (2 * Array.length arr)) filler in
+    Array.blit arr 0 bigger 0 (Array.length arr);
+    bigger
+  end
 
-let step_interned t ~time lookup initial =
+(* Slot of [state] among the first [n] entries of [states] (from
+   [i]), or [-1]; states are hash-consed, so [==] is structural
+   identity.  A linear scan beats hashing: the distinct-state count is
+   small by construction (that is the point of the multiset). *)
+let rec slot_in states n state i =
+  if i = n then -1
+  else if Array.unsafe_get states i == state then i
+  else slot_in states n state (i + 1)
+
+let add_instance t ~time slot =
+  if t.n_inst = Array.length t.inst_time then begin
+    t.inst_time <- grow t.inst_time (t.n_inst + 1) 0;
+    t.inst_slot <- grow t.inst_slot (t.n_inst + 1) 0
+  end;
+  t.inst_time.(t.n_inst) <- time;
+  t.inst_slot.(t.n_inst) <- slot;
+  t.n_inst <- t.n_inst + 1
+
+(* Evaluation: each distinct state is stepped once, no matter how many
+   live instances sit in it; successors that coincide merge.  Then
+   every instance follows its state: retired with a pass or a failure,
+   or kept (in activation order) under its state's new slot. *)
+let step_live t stats ~time eval initial =
+  let n = t.n_states in
+  t.next_states <- grow t.next_states (n + 1) initial;
+  t.remap <- grow t.remap n passed;
+  let next = t.next_states and remap = t.remap in
+  let m = ref 0 in
+  for i = 0 to n - 1 do
+    let successor = Progression.step_atoms_in stats ~time eval t.states.(i) in
+    remap.(i) <-
+      (if Progression.is_true successor then passed
+       else if Progression.is_false successor then failed
+       else
+         match slot_in next !m successor 0 with
+         | -1 ->
+           next.(!m) <- successor;
+           incr m;
+           !m - 1
+         | slot -> slot)
+  done;
+  let kept = ref 0 in
+  for k = 0 to t.n_inst - 1 do
+    let activation_time = t.inst_time.(k) in
+    let slot = remap.(t.inst_slot.(k)) in
+    if slot >= 0 then begin
+      t.inst_time.(!kept) <- activation_time;
+      t.inst_slot.(!kept) <- slot;
+      incr kept
+    end
+    else if slot = passed then t.passes <- t.passes + 1
+    else record_failure t ~activation_time ~failure_time:time
+  done;
+  t.n_inst <- !kept;
+  t.next_states <- t.states;
+  t.states <- next;
+  t.n_states <- !m
+
+(* Activation of a new instance (after the live states stepped, so it
+   joins the new multiset). *)
+let activate_interned t stats ~time eval initial =
+  let ob = Progression.step_atoms_in stats ~time eval initial in
+  if Progression.is_true ob then begin
+    t.passes <- t.passes + 1;
+    t.trivial_passes <- t.trivial_passes + 1
+  end
+  else begin
+    t.activations <- t.activations + 1;
+    if Progression.is_false ob then
+      record_failure t ~activation_time:time ~failure_time:time
+    else begin
+      let slot =
+        match slot_in t.states t.n_states ob 0 with
+        | -1 ->
+          t.states <- grow t.states (t.n_states + 1) initial;
+          t.states.(t.n_states) <- ob;
+          t.n_states <- t.n_states + 1;
+          t.n_states - 1
+        | slot -> slot
+      in
+      add_instance t ~time slot
+    end
+  end
+
+let step_interned t ~time initial =
   (* One DLS lookup per step: every state of the multiset steps, and
      every counter snapshot reads, through this handle. *)
   let stats = Progression.handle () in
   let hits0 = Progression.handle_hits stats in
   let misses0 = Progression.handle_misses stats in
   let bypassed0 = Progression.handle_bypassed stats in
-  (* One atom-evaluation closure per instant, reused across the whole
-     multiset (and feeding the shared sampler). *)
-  let eval = Sampler.eval_atom t.sampler ~time lookup in
-  (* New multiset, newest-first; merged by physical equality — states
-     are hash-consed, so [==] is structural identity.  A linear scan
-     beats a per-step hashtable: the distinct-state count is small by
-     construction (that is the point of the multiset). *)
-  let merged = ref [] in
-  let merged_count = ref 0 in
-  let add state activations_at =
-    let rec insert = function
-      | [] ->
-        merged := { state; activations_at } :: !merged;
-        incr merged_count
-      | ls :: rest ->
-        if ls.state == state then
-          ls.activations_at <- merge_sorted ls.activations_at activations_at
-        else insert rest
-    in
-    insert !merged
-  in
-  let resolve state activations_at =
-    match Progression.verdict state with
-    | Some true -> t.passes <- t.passes + List.length activations_at
-    | Some false ->
-      List.iter
-        (fun activation_time ->
-          record_failure t ~activation_time ~failure_time:time)
-        activations_at
-    | None -> add state activations_at
-  in
-  (* Evaluation: each distinct state is stepped once, no matter how
-     many live instances sit in it. *)
-  List.iter
-    (fun ls ->
-      resolve
-        (Progression.step_atoms_in stats ~time eval ls.state)
-        ls.activations_at)
-    t.live;
-  (* Activation of a new instance. *)
-  let activate () =
-    let ob = Progression.step_atoms_in stats ~time eval initial in
-    match Progression.verdict ob with
-    | Some true ->
-      t.passes <- t.passes + 1;
-      t.trivial_passes <- t.trivial_passes + 1
-    | Some false ->
-      t.activations <- t.activations + 1;
-      record_failure t ~activation_time:time ~failure_time:time
-    | None ->
-      t.activations <- t.activations + 1;
-      add ob [ time ]
-  in
-  if t.repeating then activate ()
-  else if not t.started then activate ();
-  t.live <- List.rev !merged;
+  (* The sampler's one evaluator, shared by the whole multiset. *)
+  let eval = Sampler.evaluator t.sampler ~time in
+  (* Fast path: nothing live, so the step is the activation alone. *)
+  if t.n_states > 0 then step_live t stats ~time eval initial;
+  if t.repeating || not t.started then activate_interned t stats ~time eval initial;
   t.cache_hits <- t.cache_hits + (Progression.handle_hits stats - hits0);
   t.cache_misses <-
     t.cache_misses
     + (Progression.handle_misses stats - misses0)
     + (Progression.handle_bypassed stats - bypassed0);
-  if !merged_count > t.peak_distinct then t.peak_distinct <- !merged_count
+  if t.n_states > t.peak_distinct then t.peak_distinct <- t.n_states
 
 (* --- legacy / automaton engines: list of live instances ------------ *)
 
@@ -308,7 +368,8 @@ let record_outcome t ~time instance =
     false
   | None -> true
 
-let step_list t ~time lookup =
+let step_list t ~time =
+  let lookup = Sampler.lookup t.sampler in
   let ctx = step_context t lookup in
   (* Evaluation of live instances. *)
   let survivors =
@@ -345,21 +406,22 @@ let step_list t ~time lookup =
 
 let live_instances t =
   match t.backend with
-  | Interned_backend _ ->
-    List.fold_left (fun acc ls -> acc + List.length ls.activations_at) 0 t.live
+  | Interned_backend _ -> t.n_inst
   | Legacy_backend | Auto_backend _ -> List.length t.instances
 
-let step_core t ~time lookup =
+let nothing_live t = t.n_inst = 0 && t.instances == []
+
+let step_core t ~time =
   let gated_out =
     match t.gate_atom with
     | None -> false
-    | Some gate -> not (Sampler.eval_atom t.sampler ~time lookup gate)
+    | Some gate -> not (Sampler.eval_atom t.sampler ~time gate)
   in
   if not gated_out then begin
     t.steps <- t.steps + 1;
     (match t.backend with
-     | Interned_backend initial -> step_interned t ~time lookup initial
-     | Legacy_backend | Auto_backend _ -> step_list t ~time lookup);
+     | Interned_backend initial -> step_interned t ~time initial
+     | Legacy_backend | Auto_backend _ -> step_list t ~time);
     t.started <- true;
     let live = live_instances t in
     if live > t.peak then t.peak <- live
@@ -367,10 +429,11 @@ let step_core t ~time lookup =
 
 let enable_memo t = t.memo_enabled <- true
 
-let step ?(stuttered = false) t ~time lookup =
-  if not t.memo_enabled then step_core t ~time lookup
+let step ?(stuttered = false) t ~time =
+  if not t.memo_enabled then step_core t ~time
   else begin
-    let live_before = t.live == [] && t.instances == [] in
+    let live_before = nothing_live t in
+    let started_before = t.started in
     let steps0 = t.steps in
     let activations0 = t.activations in
     let passes0 = t.passes in
@@ -378,45 +441,44 @@ let step ?(stuttered = false) t ~time lookup =
     let hits0 = t.cache_hits in
     let misses0 = t.cache_misses in
     let failures0 = t.failures in
-    step_core t ~time lookup;
-    let live_after = t.live == [] && t.instances == [] in
+    step_core t ~time;
+    let m = t.memo in
     let d_steps = t.steps - steps0 in
-    t.memo <-
-      Some
-        {
-          m_steps = d_steps;
-          m_activations = t.activations - activations0;
-          m_passes = t.passes - passes0;
-          m_trivial = t.trivial_passes - trivial0;
-          m_hits = t.cache_hits - hits0;
-          m_misses = t.cache_misses - misses0;
-          (* Replayable iff the step touched nothing but counters: no
-             failure was recorded (failure records carry the evaluation
-             time) and no live obligation existed before or after (a
-             gated-out step, [d_steps = 0], is a no-op either way). *)
-          m_eligible =
-            t.failures == failures0
-            && (d_steps = 0 || (live_before && live_after));
-          m_stuttered = stuttered;
-        }
+    m.m_valid <- true;
+    m.m_steps <- d_steps;
+    m.m_activations <- t.activations - activations0;
+    m.m_passes <- t.passes - passes0;
+    m.m_trivial <- t.trivial_passes - trivial0;
+    m.m_hits <- t.cache_hits - hits0;
+    m.m_misses <- t.cache_misses - misses0;
+    (* Replayable iff the step touched nothing but counters: no failure
+       was recorded (failure records carry the evaluation time), no live
+       obligation existed before or after (a gated-out step,
+       [d_steps = 0], is a no-op either way), and it was not the one
+       activation of a non-repeating property (the steps after it
+       activate nothing). *)
+    m.m_eligible <-
+      t.failures == failures0
+      && (d_steps = 0
+          || (live_before && nothing_live t && (t.repeating || started_before)));
+    m.m_stuttered <- stuttered
   end
 
 let can_replay t =
-  match t.memo with
-  | Some m -> m.m_eligible && (m.m_stuttered || m.m_misses = 0)
-  | None -> false
+  let m = t.memo in
+  m.m_valid && m.m_eligible && (m.m_stuttered || m.m_misses = 0)
 
 let replay t ~count =
-  if count > 0 then
-    match t.memo with
-    | Some m ->
-      t.steps <- t.steps + (count * m.m_steps);
-      t.activations <- t.activations + (count * m.m_activations);
-      t.passes <- t.passes + (count * m.m_passes);
-      t.trivial_passes <- t.trivial_passes + (count * m.m_trivial);
-      t.cache_hits <- t.cache_hits + (count * m.m_hits);
-      t.cache_misses <- t.cache_misses + (count * m.m_misses)
-    | None -> invalid_arg "Monitor.replay: no step to replay"
+  if count > 0 then begin
+    let m = t.memo in
+    if not m.m_valid then invalid_arg "Monitor.replay: no step to replay";
+    t.steps <- t.steps + (count * m.m_steps);
+    t.activations <- t.activations + (count * m.m_activations);
+    t.passes <- t.passes + (count * m.m_passes);
+    t.trivial_passes <- t.trivial_passes + (count * m.m_trivial);
+    t.cache_hits <- t.cache_hits + (count * m.m_hits);
+    t.cache_misses <- t.cache_misses + (count * m.m_misses)
+  end
 
 let step_stuttered t ~time:_ =
   if can_replay t then begin
@@ -446,7 +508,7 @@ let pending t = live_instances t
 
 let distinct_states t =
   match t.backend with
-  | Interned_backend _ -> List.length t.live
+  | Interned_backend _ -> t.n_states
   | Legacy_backend | Auto_backend _ -> List.length t.instances
 
 let peak_distinct_states t = t.peak_distinct
@@ -462,13 +524,13 @@ let sampler t = t.sampler
 let evaluation_table t =
   match t.backend with
   | Interned_backend _ ->
-    List.sort compare
-      (List.concat_map
-         (fun ls ->
-           match Progression.next_evaluation_time ls.state with
-           | Some target -> List.map (fun _ -> target) ls.activations_at
-           | None -> [])
-         t.live)
+    let targets = ref [] in
+    for k = t.n_inst - 1 downto 0 do
+      match Progression.next_evaluation_time t.states.(t.inst_slot.(k)) with
+      | Some target -> targets := target :: !targets
+      | None -> ()
+    done;
+    List.sort compare !targets
   | Legacy_backend | Auto_backend _ ->
     List.sort compare
       (List.filter_map

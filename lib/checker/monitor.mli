@@ -46,15 +46,16 @@ type engine =
   | `Automaton
   ]
 
-(** [create ?engine ?sampler property] prepares a monitor (default
+(** [create ?engine ~sampler property] prepares a monitor (default
     engine: [`Progression]).  The formula is normalised (boolean
     demotion + NNF) internally, so any parser output is accepted.  The
     context gate is taken from the property's context
-    ([Edge_and]/[Trans_and] expressions).  When [sampler] is given,
-    atom evaluations are shared with every other monitor holding the
-    same sampler (one evaluation per distinct atom per instant);
-    otherwise the monitor owns a private sampler. *)
-val create : ?engine:engine -> ?sampler:Sampler.t -> Property.t -> t
+    ([Edge_and]/[Trans_and] expressions).  The monitor reads the
+    environment through [sampler], which compiles the monitor's atoms
+    here, once; atom evaluations are shared with every other monitor
+    holding the same sampler (one evaluation per distinct atom per
+    instant). *)
+val create : ?engine:engine -> sampler:Sampler.t -> Property.t -> t
 
 (** The engine actually in use (after any fallback). *)
 val engine : t -> engine
@@ -68,14 +69,18 @@ val property : t -> Property.t
     ([Offline.Monitors.init]) turn it on. *)
 val enable_memo : t -> unit
 
-(** Consume one evaluation point.  [lookup] samples the observable
-    environment at this instant.  [stuttered] declares that the
-    caller knows every signal this monitor reads (formula atoms and
-    context gate) holds the same value as at the previous evaluation
-    point; it never changes the step's outcome, it only certifies the
-    recorded counter deltas as steady so a later {!step_stuttered}
-    may replay them (meaningful only under {!enable_memo}). *)
-val step : ?stuttered:bool -> t -> time:int -> (string -> Expr.value option) -> unit
+(** Consume one evaluation point, reading the environment at this
+    instant through the monitor's sampler.  [stuttered] declares that
+    the caller knows every signal this monitor reads (formula atoms
+    and context gate) holds the same value as at the previous
+    evaluation point; it never changes the step's outcome, it only
+    certifies the recorded counter deltas as steady so a later
+    {!step_stuttered} may replay them (meaningful only under
+    {!enable_memo}).  On the default engine a step over untimed
+    obligations allocates nothing unless the live multiset grows past
+    its arrays or a failure is recorded; timed ([next_eps^tau])
+    obligations still build their successors. *)
+val step : ?stuttered:bool -> t -> time:int -> unit
 
 (** Stutter fast path: consume one evaluation point whose relevant
     valuation is unchanged since the previous point {e without}

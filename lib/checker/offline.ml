@@ -20,9 +20,109 @@ module Run (C : OFFLINE_CHECKER) = struct
   let over_trace config trace =
     over_seq config (Tabv_trace.Entry.of_trace trace)
 
+  let over_reader config reader =
+    let state = C.init config in
+    let rec feed () =
+      match Tabv_trace.Reader.next reader with
+      | Some entry ->
+        C.on_entry state entry;
+        feed ()
+      | None -> ()
+    in
+    feed ();
+    C.finalize state
+
   let over_file config path =
-    Tabv_trace.Reader.with_file path (fun reader ->
-        over_seq config (Tabv_trace.Reader.to_seq reader))
+    Tabv_trace.Reader.with_file path (over_reader config)
+end
+
+(* The environment of the current trace entry, as the monitors'
+   compiled readers see it.  Every signal a reader asks for gets a
+   slot; a sample is loaded into the slots lazily, on the first read,
+   through the positions of the trace dictionary ([dict] caches the
+   last env's names and [pos_slot] their slots, so a file trace maps
+   positions once).  A slot is bound for a sample only when the sample
+   carries its signal, the first occurrence winning, exactly as
+   [List.assoc_opt] on the env. *)
+module Entry_env = struct
+  type t = {
+    index : (string, int) Hashtbl.t;  (* signal name -> slot *)
+    mutable values : Expr.value array;
+    mutable bound : int array;  (* sample number that last set the slot, or -1 *)
+    mutable env : (string * Expr.value) list;  (* current sample's env *)
+    mutable sample : int;  (* bumped whenever [env] changes *)
+    mutable loaded : int;  (* sample number held in [values], or -1 *)
+    mutable dict : string array;  (* names by position, last shape seen *)
+    mutable pos_slot : int array;  (* position -> slot, -1 if never read *)
+  }
+
+  let create () =
+    {
+      index = Hashtbl.create 16;
+      values = [||];
+      bound = [||];
+      env = [];
+      sample = 0;
+      loaded = -1;
+      dict = [||];
+      pos_slot = [||];
+    }
+
+  let set t env =
+    if env != t.env then begin
+      t.env <- env;
+      t.sample <- t.sample + 1
+    end
+
+  let rec same_shape dict i = function
+    | [] -> i = Array.length dict
+    | (name, _) :: rest ->
+      i < Array.length dict
+      && (let known = Array.unsafe_get dict i in
+          known == name || String.equal known name)
+      && same_shape dict (i + 1) rest
+
+  let rec fill t sample i = function
+    | [] -> ()
+    | (_, value) :: rest ->
+      let slot = Array.unsafe_get t.pos_slot i in
+      if slot >= 0 && t.bound.(slot) <> sample then begin
+        t.values.(slot) <- value;
+        t.bound.(slot) <- sample
+      end;
+      fill t sample (i + 1) rest
+
+  let load t =
+    if not (same_shape t.dict 0 t.env) then begin
+      t.dict <- Array.of_list (List.map fst t.env);
+      t.pos_slot <-
+        Array.map
+          (fun name -> Option.value (Hashtbl.find_opt t.index name) ~default:(-1))
+          t.dict
+    end;
+    fill t t.sample 0 t.env;
+    t.loaded <- t.sample
+
+  let slot t name =
+    match Hashtbl.find_opt t.index name with
+    | Some slot -> slot
+    | None ->
+      let slot = Hashtbl.length t.index in
+      Hashtbl.add t.index name slot;
+      t.values <- Array.append t.values [| Expr.VBool false |];
+      t.bound <- Array.append t.bound [| -1 |];
+      t.dict <- [||] (* remap the positions at the next load *);
+      t.loaded <- -1;
+      slot
+
+  let resolve t name =
+    let slot = slot t name in
+    Some
+      (Expr.Value_reader
+         (fun () ->
+           if t.loaded <> t.sample then load t;
+           if t.bound.(slot) = t.sample then t.values.(slot)
+           else Expr.unbound_signal name))
 end
 
 module Monitors = struct
@@ -36,12 +136,15 @@ module Monitors = struct
 
   type state = {
     pool : (Property.t * Monitor.t) list;
+    env : Entry_env.t;  (* what the pool's compiled readers read *)
     (* Support mask per monitor: bit [min i 62] for every dictionary
        position [i] of a signal the property reads (formula atoms and
        context gate).  Built from the first sample's env; positions
        beyond 62 share one overflow bit, erring toward stepping. *)
     mutable slots : (Monitor.t * int) list;
+    mutable dict : string array;  (* the first env's names: the mask positions *)
     mutable prev_env : (string * Expr.value) list;
+    mutable prev_fits : bool;  (* [prev_env] has the shape of [dict] *)
     mutable have_prev : bool;
     (* Samples whose replay has been deferred: when the env is
        physically unchanged and every monitor in the pool is
@@ -64,10 +167,12 @@ module Monitors = struct
     { engine; stutter; properties }
 
   let init { engine; stutter; properties } =
-    (* One shared sampler across the pool, as in live checking and the
-       historical Replay.run: each distinct atom is evaluated once per
-       entry no matter how many properties mention it. *)
-    let sampler = Sampler.create () in
+    (* One shared sampler across the pool, as in live checking: each
+       distinct atom is compiled once, against the trace entry's
+       slots, and evaluated once per entry no matter how many
+       properties mention it. *)
+    let env = Entry_env.create () in
+    let sampler = Sampler.create (Entry_env.resolve env) in
     let pool =
       List.map
         (fun p ->
@@ -76,7 +181,17 @@ module Monitors = struct
           (p, m))
         properties
     in
-    { pool; slots = []; prev_env = []; have_prev = false; batched = 0; stutter }
+    {
+      pool;
+      env;
+      slots = [];
+      dict = [||];
+      prev_env = [];
+      prev_fits = false;
+      have_prev = false;
+      batched = 0;
+      stutter;
+    }
 
   let build_slots pool env =
     let bit_of name =
@@ -96,14 +211,15 @@ module Monitors = struct
       pool
 
   (* Bitmask of dictionary positions whose value differs between two
-     same-shape envs; [-1] (every bit) when the shapes disagree. *)
+     envs of the dictionary's shape. *)
   let changed_mask prev env =
     let rec walk i acc prev env =
       match prev, env with
       | [], [] -> acc
       | (_, v1) :: prev', (_, v2) :: env' ->
         let acc =
-          if v1 == v2 || v1 = v2 then acc else acc lor (1 lsl min i 62)
+          if v1 == v2 || Expr.equal_value v1 v2 then acc
+          else acc lor (1 lsl min i 62)
         in
         walk (i + 1) acc prev' env'
       | [], _ :: _ | _ :: _, [] -> -1
@@ -125,8 +241,8 @@ module Monitors = struct
         state.slots <- build_slots state.pool env;
         state.have_prev <- true
       end;
-      let lookup name = List.assoc_opt name env in
-      List.iter (fun (monitor, _) -> Monitor.step monitor ~time lookup) state.slots
+      Entry_env.set state.env env;
+      List.iter (fun (monitor, _) -> Monitor.step monitor ~time) state.slots
     | Tabv_trace.Entry.Sample { time; env } ->
       if
         state.have_prev
@@ -140,25 +256,39 @@ module Monitors = struct
         state.batched <- state.batched + 1
       else begin
         flush state;
-        if not state.have_prev then state.slots <- build_slots state.pool env;
+        let first = not state.have_prev in
+        if first then begin
+          state.slots <- build_slots state.pool env;
+          state.dict <- Array.of_list (List.map fst env)
+        end;
+        (* The masks name positions of the first env, so only envs with
+           its names in its order compare position by position; any
+           other shape counts as a change of every signal. *)
+        let fits =
+          (env == state.prev_env && state.prev_fits)
+          || Entry_env.same_shape state.dict 0 env
+        in
         let changed =
-          if not state.have_prev then -1
+          if first || not (fits && state.prev_fits) then -1
           else if env == state.prev_env then 0
           else changed_mask state.prev_env env
         in
         state.prev_env <- env;
+        state.prev_fits <- fits;
         state.have_prev <- true;
-        let lookup name = List.assoc_opt name env in
+        Entry_env.set state.env env;
         List.iter
           (fun (monitor, mask) ->
-            if changed land mask = 0 then begin
-              (* Stutter: every signal this monitor reads is unchanged.
+            if (not first) && changed land mask = 0 then begin
+              (* Stutter: every signal this monitor reads is unchanged
+                 (never on the first sample, which has no predecessor,
+                 even for a monitor that reads no signal at all).
                  Replay the previous step's deltas when the memo allows,
                  otherwise take a real step that certifies the memo. *)
               if not (Monitor.step_stuttered monitor ~time) then
-                Monitor.step ~stuttered:true monitor ~time lookup
+                Monitor.step ~stuttered:true monitor ~time
             end
-            else Monitor.step monitor ~time lookup)
+            else Monitor.step monitor ~time)
           state.slots
       end
 

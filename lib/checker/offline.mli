@@ -42,6 +42,11 @@ module Run (C : OFFLINE_CHECKER) : sig
   val over_seq : C.config -> Tabv_trace.Entry.t Seq.t -> C.result
   val over_trace : C.config -> Trace.t -> C.result
 
+  (** The remaining entries of an open reader, fed straight from
+      {!Tabv_trace.Reader.next} (no intermediate [Seq]).
+      @raise Tabv_trace.Reader.Format_error on a damaged file. *)
+  val over_reader : C.config -> Tabv_trace.Reader.t -> C.result
+
   (** Streaming: the whole file is never materialized.
       @raise Tabv_trace.Reader.Format_error on a damaged file. *)
   val over_file : C.config -> string -> C.result

@@ -141,11 +141,19 @@ and onode =
    states. *)
 and memo_entry =
   | No_memo  (* state not stepped yet *)
-  | Transitions of {
-      atoms : Interned.t array;  (* unique atoms read, first-read order *)
-      results : (int, t) Hashtbl.t;  (* packed valuation -> successor *)
-    }
+  | Transitions of transitions
   | Unmemoizable  (* more than [max_memo_atoms] distinct atoms *)
+
+(* The transition table of one state: an open-addressed, linearly
+   probed map from packed valuation to successor, on plain int arrays
+   (a polymorphic [Hashtbl] hashes and compares its keys through C
+   calls).  Valuations are non-negative, so [-1] marks a free slot. *)
+and transitions = {
+  atoms : Interned.t array;  (* unique atoms read, first-read order *)
+  mutable keys : int array;  (* packed valuation, or [-1] *)
+  mutable succs : t array;  (* successor, parallel to [keys] *)
+  mutable size : int;  (* occupied slots *)
+}
 
 let onode_equal a b =
   match a, b with
@@ -156,13 +164,24 @@ let onode_equal a b =
   | OOr (a1, b1), OOr (a2, b2) -> a1 == a2 && b1 == b2
   | (OTrue | OFalse | OFormula _ | OAt _ | OAnd _ | OOr _), _ -> false
 
-let onode_hash = function
-  | OTrue -> 0
-  | OFalse -> 1
-  | OFormula f -> Hashtbl.hash (2, Interned.id f)
-  | OAt (target, f) -> Hashtbl.hash (3, target, Interned.id f)
-  | OAnd (a, b) -> Hashtbl.hash (4, a.oid, b.oid)
-  | OOr (a, b) -> Hashtbl.hash (5, a.oid, b.oid)
+(* Integer mixing instead of [Hashtbl.hash] on a tuple: stepping a
+   timed obligation probes the table on every step, and the tuple
+   would be allocated (and hashed through a C call) each time. *)
+let mix h x =
+  let h = (h lxor x) * 0x100000001B3 in
+  h lxor (h lsr 29)
+
+let onode_hash onode =
+  let h =
+    match onode with
+    | OTrue -> 0
+    | OFalse -> 1
+    | OFormula f -> mix 2 (Interned.id f)
+    | OAt (target, f) -> mix (mix 3 target) (Interned.id f)
+    | OAnd (a, b) -> mix (mix 4 a.oid) b.oid
+    | OOr (a, b) -> mix (mix 5 a.oid) b.oid
+  in
+  h land max_int
 
 module Ob_table = Hashtbl.Make (struct
   type t = onode
@@ -377,31 +396,65 @@ let rec compute ~time eval ob =
 
 exception Too_many_atoms
 
+(* --- transition tables --------------------------------------------- *)
+
+let free = -1
+
+(* Fibonacci hashing: valuations are small bit sets, so the low bits
+   alone would cluster. *)
+let rec probe keys mask bits i =
+  let k = Array.unsafe_get keys i in
+  if k = bits || k = free then i else probe keys mask bits ((i + 1) land mask)
+
+let slot_of keys bits =
+  let mask = Array.length keys - 1 in
+  probe keys mask bits (((bits * 0x9E3779B97F4A7C1) lsr 20) land mask)
+
+let rec insert tr bits successor =
+  if 2 * (tr.size + 1) > Array.length tr.keys then begin
+    let keys = tr.keys and succs = tr.succs in
+    tr.keys <- Array.make (2 * Array.length keys) free;
+    tr.succs <- Array.make (2 * Array.length keys) ob_false;
+    tr.size <- 0;
+    Array.iteri (fun i k -> if k <> free then insert tr k succs.(i)) keys
+  end;
+  let i = slot_of tr.keys bits in
+  tr.keys.(i) <- bits;
+  tr.succs.(i) <- successor;
+  tr.size <- tr.size + 1
+
+let transitions atoms bits successor =
+  let tr =
+    { atoms; keys = Array.make 8 free; succs = Array.make 8 ob_false; size = 0 }
+  in
+  insert tr bits successor;
+  tr
+
 (* Memoized step of an untimed obligation.  The hot path — a state
    already carrying its transition table — costs one pointer load, one
-   atom-evaluation pass to pack the valuation bits, and one
-   exception-based hashtable probe; nothing is allocated on a hit. *)
+   atom-evaluation pass to pack the valuation bits, and one probe of
+   the state's int table; nothing is allocated on a hit. *)
 let step_untimed_in stats ~time eval ob =
   match ob.memo with
-  | Transitions { atoms; results } ->
-    let n = Array.length atoms in
-    let rec pack i acc =
-      if i >= n then acc
-      else
-        pack (i + 1)
-          (if eval (Array.unsafe_get atoms i) then acc lor (1 lsl i) else acc)
-    in
-    let bits = pack 0 0 in
-    (match Hashtbl.find results bits with
-     | successor ->
-       stats.hits <- stats.hits + 1;
-       successor
-     | exception Not_found ->
-       stats.misses <- stats.misses + 1;
-       let successor = compute ~time eval ob in
-       stats.transitions <- stats.transitions + 1;
-       Hashtbl.add results bits successor;
-       successor)
+  | Transitions tr ->
+    let atoms = tr.atoms in
+    let bits = ref 0 in
+    for i = 0 to Array.length atoms - 1 do
+      if eval (Array.unsafe_get atoms i) then bits := !bits lor (1 lsl i)
+    done;
+    let bits = !bits in
+    let i = slot_of tr.keys bits in
+    if Array.unsafe_get tr.keys i = bits then begin
+      stats.hits <- stats.hits + 1;
+      Array.unsafe_get tr.succs i
+    end
+    else begin
+      stats.misses <- stats.misses + 1;
+      let successor = compute ~time eval ob in
+      stats.transitions <- stats.transitions + 1;
+      insert tr bits successor;
+      successor
+    end
   | Unmemoizable ->
     stats.bypassed <- stats.bypassed + 1;
     compute ~time eval ob
@@ -430,11 +483,9 @@ let step_untimed_in stats ~time eval ob =
        in
        (match compute ~time recording ob with
         | successor ->
-          let atoms = Array.of_list (List.rev !order) in
-          let results = Hashtbl.create 8 in
           stats.transitions <- stats.transitions + 1;
-          Hashtbl.add results !bits successor;
-          ob.memo <- Transitions { atoms; results };
+          ob.memo <-
+            Transitions (transitions (Array.of_list (List.rev !order)) !bits successor);
           successor
         | exception Too_many_atoms ->
           ob.memo <- Unmemoizable;
@@ -471,15 +522,6 @@ let eval_of_lookup lookup atom =
 let step ~time lookup ob =
   step_eval_in (universe ()).ustats ~time (eval_of_lookup lookup) ob
 
-let step_sampled sampler ~time lookup ob =
-  step_eval_in (universe ()).ustats ~time
-    (Sampler.eval_atom sampler ~time lookup)
-    ob
-
-(* Caller-supplied atom evaluator: lets a monitor build one evaluation
-   closure per instant and reuse it across its whole state multiset. *)
-let step_atoms ~time eval ob = step_eval_in (universe ()).ustats ~time eval ob
-
 (* A handle is the calling domain's live statistics record itself:
    grabbing it once per monitor step replaces the per-state (and
    per-counter-read) [Domain.DLS] lookups of the naive API with plain
@@ -493,10 +535,6 @@ let handle_hits (h : handle) = h.hits
 let handle_misses (h : handle) = h.misses
 let handle_bypassed (h : handle) = h.bypassed
 let step_atoms_in (h : handle) ~time eval ob = step_eval_in h ~time eval ob
-
-let raw_hits () = (universe ()).ustats.hits
-let raw_misses () = (universe ()).ustats.misses
-let raw_bypassed () = (universe ()).ustats.bypassed
 
 let rec pp ppf ob =
   match ob.onode with

@@ -1,10 +1,10 @@
 type t = Checker.t
 
-let attach ?engine ?sampler ?(clocks = []) kernel clock property ~lookup =
+let attach ?engine ~sampler ?(clocks = []) kernel clock property =
   Checker.attach
-    (Checker.Attach.spec ?engine ?sampler
+    (Checker.Attach.spec ?engine ~sampler
        (Checker.Attach.clock_edge ~clocks clock))
-    kernel property ~lookup
+    kernel property
 
 let monitor = Checker.monitor
 let failures = Checker.failures

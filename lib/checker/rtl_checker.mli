@@ -18,11 +18,12 @@ open Tabv_sim
 
 type t = Checker.t
 
-(** [attach ?engine ?sampler ?clocks kernel clock property ~lookup]
+(** [attach ?engine ~sampler ?clocks kernel clock property]
     synthesizes the checker (default backend: interned formula
     progression; [`Automaton] selects the explicit-state backend with
-    automatic fallback) and hooks it to the clock.  Checkers given the
-    same [sampler] evaluate each distinct atom once per instant.
+    automatic fallback) and hooks it to the clock; the checker reads
+    the environment through [sampler].  Checkers given the same
+    [sampler] evaluate each distinct atom once per instant.
     Properties with a {e named} clock context ([@clkB_pos]) sample the
     matching entry of [clocks] instead of the default [clock].
     @raise Invalid_argument when the property has a transaction
@@ -30,12 +31,11 @@ type t = Checker.t
     [clocks]. *)
 val attach :
   ?engine:Monitor.engine ->
-  ?sampler:Sampler.t ->
+  sampler:Sampler.t ->
   ?clocks:(string * Clock.t) list ->
   Kernel.t ->
   Clock.t ->
   Property.t ->
-  lookup:(string -> Expr.value option) ->
   t
 
 val monitor : t -> Monitor.t

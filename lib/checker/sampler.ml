@@ -41,23 +41,69 @@ let fresh_stamp () =
   !global_stamp
 
 type t = {
+  resolve : Expr.resolver;  (* the observed environment's signals *)
   mutable now : int;  (* instant of the cached values *)
   mutable stamp : int;  (* stamp tagging this sampler's values at [now] *)
   mutable queries : int;  (* atom evaluations requested *)
   mutable evals : int;  (* atom evaluations actually performed *)
-  mutable atoms : Interned.t list;  (* registered for batched priming *)
+  mutable atoms : Interned.t array;  (* registered for batched priming *)
+  mutable readers : (unit -> bool) array;  (* compiled, parallel to [atoms] *)
+  mutable by_id : (unit -> bool) array;  (* atom id -> compiled reader *)
   mutable primed : int;  (* stamp the batch pass last ran for *)
+  mutable eval : Interned.t -> bool;  (* {!evaluator}, allocated once *)
 }
 
-let create () =
-  {
-    now = min_int;
-    stamp = fresh_stamp ();
-    queries = 0;
-    evals = 0;
-    atoms = [];
-    primed = 0;
-  }
+(* Atoms are compiled against the resolver once, at registration (or
+   at their first read for an atom nobody registered); the compiled
+   readers live here, with the run, and die with it. *)
+let uncompiled () = assert false
+
+let reader_of t atom =
+  let id = Interned.id atom in
+  if id < Array.length t.by_id && t.by_id.(id) != uncompiled then t.by_id.(id)
+  else begin
+    let reader =
+      match Interned.node atom with
+      | Interned.Atom e -> Expr.compile t.resolve e
+      | _ -> invalid_arg "Sampler.eval_atom: not an atom node"
+    in
+    if id >= Array.length t.by_id then begin
+      let by_id = Array.make (max (id + 1) (2 * Array.length t.by_id)) uncompiled in
+      Array.blit t.by_id 0 by_id 0 (Array.length t.by_id);
+      t.by_id <- by_id
+    end;
+    t.by_id.(id) <- reader;
+    reader
+  end
+
+let miss t atom =
+  let v = (reader_of t atom) () in
+  t.evals <- t.evals + 1;
+  Interned.set_sample atom ~stamp:t.stamp ~value:v;
+  v
+
+let read t atom =
+  t.queries <- t.queries + 1;
+  if Interned.sample_stamp atom = t.stamp then Interned.sample_value atom
+  else miss t atom
+
+let create resolve =
+  let t =
+    {
+      resolve;
+      now = min_int;
+      stamp = fresh_stamp ();
+      queries = 0;
+      evals = 0;
+      atoms = [||];
+      readers = [||];
+      by_id = [||];
+      primed = 0;
+      eval = (fun _ -> false);
+    }
+  in
+  t.eval <- read t;
+  t
 
 let refresh t ~time =
   if t.now <> time then begin
@@ -65,40 +111,50 @@ let refresh t ~time =
     t.stamp <- fresh_stamp ()
   end
 
-let expr_of atom =
-  match Interned.node atom with
-  | Interned.Atom e -> e
-  | _ -> invalid_arg "Sampler.eval_atom: not an atom node"
-
-let eval_atom t ~time lookup atom =
+let eval_atom t ~time atom =
   refresh t ~time;
-  t.queries <- t.queries + 1;
-  if Interned.sample_stamp atom = t.stamp then Interned.sample_value atom
-  else begin
-    let v = Expr.eval lookup (expr_of atom) in
-    t.evals <- t.evals + 1;
-    Interned.set_sample atom ~stamp:t.stamp ~value:v;
-    v
-  end
+  read t atom
+
+let evaluator t ~time =
+  refresh t ~time;
+  t.eval
+
+let lookup t name = Option.map Expr.read (t.resolve name)
 
 (* Batched sampling: monitors register their atom sets at creation;
    the attach layer then primes the sampler once per evaluation point,
    so the environment (signal arena or transaction mirror) is read in
    one pass and every monitor's step is answered from the cache.
-   Priming goes through [eval_atom], so the query/eval accounting is
-   identical on every engine and whether or not a caller primes. *)
+   Priming counts its queries and evaluations exactly as [eval_atom]
+   would, so the accounting is identical on every engine and whether
+   or not a caller primes. *)
 
 let register t atom =
-  if not (List.memq atom t.atoms) then t.atoms <- atom :: t.atoms
+  if not (Array.exists (fun a -> a == atom) t.atoms) then begin
+    let reader = reader_of t atom in
+    t.atoms <- Array.append t.atoms [| atom |];
+    t.readers <- Array.append t.readers [| reader |]
+  end
 
-let prime t ~time lookup =
+(* Newest registration first, the order the pass has always used: the
+   first atom to raise {!Expr.Eval_error} decides the message. *)
+let prime t ~time =
   refresh t ~time;
   if t.primed <> t.stamp then begin
     t.primed <- t.stamp;
-    List.iter (fun atom -> ignore (eval_atom t ~time lookup atom)) t.atoms
+    let atoms = t.atoms and readers = t.readers and stamp = t.stamp in
+    for i = Array.length atoms - 1 downto 0 do
+      let atom = Array.unsafe_get atoms i in
+      t.queries <- t.queries + 1;
+      if Interned.sample_stamp atom <> stamp then begin
+        let v = (Array.unsafe_get readers i) () in
+        t.evals <- t.evals + 1;
+        Interned.set_sample atom ~stamp ~value:v
+      end
+    done
   end
 
-let registered_atoms t = List.length t.atoms
+let registered_atoms t = Array.length t.atoms
 
 let queries t = t.queries
 let evals t = t.evals

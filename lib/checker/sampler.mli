@@ -17,14 +17,28 @@ open Tabv_psl
 
 type t
 
-val create : unit -> t
+(** [create resolve] is a sampler over the environment [resolve]
+    describes.  Every atom is compiled against [resolve] once, when it
+    is registered (or first read); the compiled readers belong to this
+    sampler and nothing is registered globally. *)
+val create : Expr.resolver -> t
 
-(** [eval_atom t ~time lookup atom] evaluates the interned [Atom] node
-    [atom] at instant [time], caching per (instant, atom id).
+(** [eval_atom t ~time atom] evaluates the interned [Atom] node [atom]
+    at instant [time], caching per (instant, atom id).
     @raise Invalid_argument if [atom] is not an [Atom] node.
     @raise Expr.Eval_error like {!Expr.eval}. *)
-val eval_atom :
-  t -> time:int -> (string -> Expr.value option) -> Interned.t -> bool
+val eval_atom : t -> time:int -> Interned.t -> bool
+
+(** [evaluator t ~time] moves the cache to instant [time] and returns
+    the sampler's one atom evaluator: [evaluator t ~time atom] is
+    [eval_atom t ~time atom].  The closure is allocated once, with the
+    sampler, so a monitor step that hands it to every state of its
+    multiset allocates nothing. *)
+val evaluator : t -> time:int -> Interned.t -> bool
+
+(** The environment as a lookup function, for the interpreting
+    reference engines (allocates per call). *)
+val lookup : t -> string -> Expr.value option
 
 (** {2 Batched sampling}
 
@@ -34,14 +48,16 @@ val eval_atom :
     environment and fans the valuations out to every attached monitor
     through the per-instant cache. *)
 
-(** Register an [Atom] node for batched priming (idempotent per node;
-    interned nodes are hash-consed, so physical identity applies). *)
+(** Register an [Atom] node for batched priming and compile its reader
+    (idempotent per node; interned nodes are hash-consed, so physical
+    identity applies). *)
 val register : t -> Interned.t -> unit
 
-(** [prime t ~time lookup] evaluates every registered atom at [time]
-    (idempotent per instant).  Accounting is routed through
-    {!eval_atom}, so queries/evals stay engine-independent. *)
-val prime : t -> time:int -> (string -> Expr.value option) -> unit
+(** [prime t ~time] evaluates every registered atom at [time]
+    (idempotent per instant).  Queries and evaluations are counted
+    exactly as {!eval_atom} counts them, so they stay
+    engine-independent. *)
+val prime : t -> time:int -> unit
 
 (** Number of atoms registered for priming. *)
 val registered_atoms : t -> int

@@ -1,22 +1,21 @@
 type t = Checker.t
 
-let attach ?engine ?sampler kernel initiator property ~lookup =
+let attach ?engine ~sampler kernel initiator property =
   Checker.attach
-    (Checker.Attach.spec ?engine ?sampler (Checker.Attach.transaction initiator))
-    kernel property ~lookup
+    (Checker.Attach.spec ?engine ~sampler (Checker.Attach.transaction initiator))
+    kernel property
 
-let attach_unabstracted ?engine ?sampler kernel initiator property ~lookup =
+let attach_unabstracted ?engine ~sampler kernel initiator property =
   Checker.attach
-    (Checker.Attach.spec ?engine ?sampler
+    (Checker.Attach.spec ?engine ~sampler
        (Checker.Attach.transaction_unabstracted initiator))
-    kernel property ~lookup
+    kernel property
 
-let attach_grid ?engine ?sampler kernel ~clock_period ?(phase = 1) property
-    ~lookup =
+let attach_grid ?engine ~sampler kernel ~clock_period ?(phase = 1) property =
   Checker.attach
-    (Checker.Attach.spec ?engine ?sampler
+    (Checker.Attach.spec ?engine ~sampler
        (Checker.Attach.grid ~phase ~clock_period ()))
-    kernel property ~lookup
+    kernel property
 
 let monitor = Checker.monitor
 let failures = Checker.failures

@@ -23,20 +23,20 @@ open Tabv_sim
 
 type t = Checker.t
 
-(** [attach kernel initiator property ~lookup] synthesizes the wrapper
-    for a TLM property and hooks it to the socket's end-of-transaction
-    events.  [engine] selects the checker backend (see
-    {!Monitor.engine}); when [sampler] is given, all wrappers sharing
-    it evaluate each distinct atom once per instant (the paper's
-    wrapper pool samples the environment once per evaluation point).
+(** [attach ~sampler kernel initiator property] synthesizes the
+    wrapper for a TLM property and hooks it to the socket's
+    end-of-transaction events; the wrapper reads the environment
+    through [sampler].  [engine] selects the checker backend (see
+    {!Monitor.engine}); all wrappers sharing a sampler evaluate each
+    distinct atom once per instant (the paper's wrapper pool samples
+    the environment once per evaluation point).
     @raise Invalid_argument when the property has a clock context. *)
 val attach :
   ?engine:Monitor.engine ->
-  ?sampler:Sampler.t ->
+  sampler:Sampler.t ->
   Kernel.t ->
   Tlm.Initiator.t ->
   Property.t ->
-  lookup:(string -> Expr.value option) ->
   t
 
 (** Attach a checker synthesized from an {e unabstracted} RTL property
@@ -46,11 +46,10 @@ val attach :
     shows to be incorrect on more abstract models. *)
 val attach_unabstracted :
   ?engine:Monitor.engine ->
-  ?sampler:Sampler.t ->
+  sampler:Sampler.t ->
   Kernel.t ->
   Tlm.Initiator.t ->
   Property.t ->
-  lookup:(string -> Expr.value option) ->
   t
 
 (** Grid-mode wrapper (an extension over the paper; see DESIGN.md).
@@ -70,12 +69,11 @@ val attach_unabstracted :
     ablation the benchmark quantifies. *)
 val attach_grid :
   ?engine:Monitor.engine ->
-  ?sampler:Sampler.t ->
+  sampler:Sampler.t ->
   Kernel.t ->
   clock_period:int ->
   ?phase:int ->
   Property.t ->
-  lookup:(string -> Expr.value option) ->
   t
 
 val monitor : t -> Monitor.t

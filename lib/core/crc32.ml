@@ -3,19 +3,21 @@
    are themselves valid CRCs of the prefix — that is what lets the
    trace reader fold over bytes as it consumes them. *)
 
+(* Built eagerly at module initialisation: the table is immutable
+   once built, so every domain may read it without synchronisation.  A
+   [lazy] here would raise [CamlinternalLazy.Undefined] when two
+   domains force it at the same time. *)
 let table =
-  lazy
-    (Array.init 256 (fun n ->
-         let c = ref n in
-         for _ = 0 to 7 do
-           c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
-         done;
-         !c))
+  Array.init 256 (fun n ->
+      let c = ref n in
+      for _ = 0 to 7 do
+        c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+      done;
+      !c)
 
 let update crc s ~pos ~len =
   if pos < 0 || len < 0 || pos + len > String.length s then
     invalid_arg "Crc32.update";
-  let table = Lazy.force table in
   let c = ref (lnot crc land 0xFFFFFFFF) in
   for i = pos to pos + len - 1 do
     c := table.((!c lxor Char.code (String.unsafe_get s i)) land 0xFF)
@@ -26,7 +28,6 @@ let update crc s ~pos ~len =
 let string s = update 0 s ~pos:0 ~len:(String.length s)
 
 let byte crc c =
-  let table = Lazy.force table in
   let r = lnot crc land 0xFFFFFFFF in
   let r = table.((r lxor Char.code c) land 0xFF) lxor (r lsr 8) in
   lnot r land 0xFFFFFFFF
@@ -36,7 +37,7 @@ let byte crc c =
    finalizing complements of [byte] would double its per-byte cost).
    [finish] recovers the CRC [update]/[byte] would have produced. *)
 module Raw = struct
-  let table () = Lazy.force table
+  let table () = table
   let start = 0xFFFFFFFF
 
   let feed_string tbl raw s ~pos ~len =

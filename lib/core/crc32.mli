@@ -26,8 +26,8 @@ val byte : int -> char -> int
     the [table ()] it cached, and {!Raw.finish} recovers exactly the
     value {!update}/{!byte} would have produced. *)
 module Raw : sig
-  (** The forced 256-entry table (allocate-free after the first
-      call). *)
+  (** The 256-entry table, built once at module initialisation and
+      safe to read from any domain. *)
   val table : unit -> int array
 
   (** Register value for an empty input. *)

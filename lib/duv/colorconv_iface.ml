@@ -1,4 +1,5 @@
 open Tabv_sim
+module Expr = Tabv_psl.Expr
 
 let latency = Colorconv.stages
 let clock_period = 10
@@ -36,19 +37,18 @@ let create_observables () =
   }
 
 let bindings obs =
-  [ ("dv", fun () -> Duv_util.vbool obs.dv);
-    ("r", fun () -> Duv_util.vint obs.r);
-    ("g", fun () -> Duv_util.vint obs.g);
-    ("b", fun () -> Duv_util.vint obs.b);
-    ("ovalid", fun () -> Duv_util.vbool obs.ovalid);
-    ("y", fun () -> Duv_util.vint obs.y);
-    ("cb", fun () -> Duv_util.vint obs.cb);
-    ("cr", fun () -> Duv_util.vint obs.cr) ]
-  @ List.mapi (fun i name -> (name, fun () -> Duv_util.vbool obs.valids.(i))) valid_names
+  [ ("dv", Expr.Bool_reader (fun () -> obs.dv));
+    ("r", Expr.Int_reader (fun () -> obs.r));
+    ("g", Expr.Int_reader (fun () -> obs.g));
+    ("b", Expr.Int_reader (fun () -> obs.b));
+    ("ovalid", Expr.Bool_reader (fun () -> obs.ovalid));
+    ("y", Expr.Int_reader (fun () -> obs.y));
+    ("cb", Expr.Int_reader (fun () -> obs.cb));
+    ("cr", Expr.Int_reader (fun () -> obs.cr)) ]
+  @ List.mapi (fun i name -> (name, Expr.Bool_reader (fun () -> obs.valids.(i)))) valid_names
 
-let lookup obs = Duv_util.lookup_of (bindings obs)
 
-let env_of obs = List.map (fun (name, thunk) -> (name, thunk ())) (bindings obs)
+let env_of obs = Duv_util.env_of_bindings (bindings obs)
 
 type frame = {
   c_dv : bool;

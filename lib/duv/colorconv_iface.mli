@@ -31,7 +31,10 @@ type observables = {
 }
 
 val create_observables : unit -> observables
-val lookup : observables -> string -> Tabv_psl.Expr.value option
+
+(** The model's binding table: one typed reader per observable signal,
+    for compiling checker atoms ({!Tabv_psl.Expr.compile}). *)
+val bindings : observables -> (string * Tabv_psl.Expr.reader) list
 val env_of : observables -> (string * Tabv_psl.Expr.value) list
 
 (** TLM-CA cycle frame. *)

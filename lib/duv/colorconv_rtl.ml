@@ -1,4 +1,5 @@
 open Tabv_sim
+module Expr = Tabv_psl.Expr
 
 (* The pipeline boundary registers are kernel signals: each clock edge
    reads the previous boundary's (pre-edge) payload and schedules the
@@ -94,22 +95,21 @@ let cr t = t.cr
 let valids t = t.valids
 
 (* Observation paths read through the engine interface
-   ([Signal.observe]), keeping traces and lookups engine-agnostic. *)
+   ([Signal.observe]), keeping traces and checkers engine-agnostic. *)
 let bindings t =
-  [ ("dv", fun () -> Duv_util.vbool (Signal.observe t.dv));
-    ("r", fun () -> Duv_util.vint (Signal.observe t.r));
-    ("g", fun () -> Duv_util.vint (Signal.observe t.g));
-    ("b", fun () -> Duv_util.vint (Signal.observe t.b));
-    ("ovalid", fun () -> Duv_util.vbool (Signal.observe t.ovalid));
-    ("y", fun () -> Duv_util.vint (Signal.observe t.y));
-    ("cb", fun () -> Duv_util.vint (Signal.observe t.cb));
-    ("cr", fun () -> Duv_util.vint (Signal.observe t.cr)) ]
+  [ ("dv", Expr.Bool_reader (fun () -> Signal.observe t.dv));
+    ("r", Expr.Int_reader (fun () -> Signal.observe t.r));
+    ("g", Expr.Int_reader (fun () -> Signal.observe t.g));
+    ("b", Expr.Int_reader (fun () -> Signal.observe t.b));
+    ("ovalid", Expr.Bool_reader (fun () -> Signal.observe t.ovalid));
+    ("y", Expr.Int_reader (fun () -> Signal.observe t.y));
+    ("cb", Expr.Int_reader (fun () -> Signal.observe t.cb));
+    ("cr", Expr.Int_reader (fun () -> Signal.observe t.cr)) ]
   @ Array.to_list
       (Array.mapi
          (fun i signal ->
-           (Printf.sprintf "v%d" (i + 1), fun () -> Duv_util.vbool (Signal.observe signal)))
+           (Printf.sprintf "v%d" (i + 1), Expr.Bool_reader (fun () -> Signal.observe signal)))
          t.valids)
 
-let lookup t = Duv_util.lookup_of (bindings t)
-let env t = List.map (fun (name, thunk) -> (name, thunk ())) (bindings t)
+let env t = Duv_util.env_of_bindings (bindings t)
 let completed t = t.completed

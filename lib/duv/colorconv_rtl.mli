@@ -28,6 +28,8 @@ val cr : t -> int Signal.t
 (** Stage-occupancy flag signals v1..v7. *)
 val valids : t -> bool Signal.t array
 
-val lookup : t -> string -> Tabv_psl.Expr.value option
+(** The model's binding table: one typed reader per observable signal,
+    for compiling checker atoms ({!Tabv_psl.Expr.compile}). *)
+val bindings : t -> (string * Tabv_psl.Expr.reader) list
 val env : t -> (string * Tabv_psl.Expr.value) list
 val completed : t -> int

@@ -56,5 +56,5 @@ let create kernel =
 
 let target t = t.target
 let observables t = t.obs
-let lookup t = Colorconv_iface.lookup t.obs
+let bindings t = Colorconv_iface.bindings t.obs
 let completed t = t.completed

@@ -1,4 +1,5 @@
 open Tabv_sim
+module Expr = Tabv_psl.Expr
 
 let latency = 17
 let clock_period = 10
@@ -36,16 +37,15 @@ let create_observables () =
     rdy_next_next_cycle = false;
   }
 
-let lookup obs =
-  Duv_util.lookup_of
-    [ ("ds", fun () -> Duv_util.vbool obs.ds);
-      ("decrypt", fun () -> Duv_util.vbool obs.decrypt_obs);
-      ("key", fun () -> Duv_util.vdata obs.key_obs);
-      ("indata", fun () -> Duv_util.vdata obs.indata);
-      ("out", fun () -> Duv_util.vdata obs.out);
-      ("rdy", fun () -> Duv_util.vbool obs.rdy);
-      ("rdy_next_cycle", fun () -> Duv_util.vbool obs.rdy_next_cycle);
-      ("rdy_next_next_cycle", fun () -> Duv_util.vbool obs.rdy_next_next_cycle) ]
+let bindings obs =
+  [ ("ds", Expr.Bool_reader (fun () -> obs.ds));
+    ("decrypt", Expr.Bool_reader (fun () -> obs.decrypt_obs));
+    ("key", Expr.Int_reader (fun () -> Duv_util.int_of_data obs.key_obs));
+    ("indata", Expr.Int_reader (fun () -> Duv_util.int_of_data obs.indata));
+    ("out", Expr.Int_reader (fun () -> Duv_util.int_of_data obs.out));
+    ("rdy", Expr.Bool_reader (fun () -> obs.rdy));
+    ("rdy_next_cycle", Expr.Bool_reader (fun () -> obs.rdy_next_cycle));
+    ("rdy_next_next_cycle", Expr.Bool_reader (fun () -> obs.rdy_next_next_cycle)) ]
 
 let env_of obs =
   [ ("ds", Duv_util.vbool obs.ds);

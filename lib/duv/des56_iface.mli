@@ -39,8 +39,9 @@ type observables = {
 
 val create_observables : unit -> observables
 
-(** Property-layer view of the mirror. *)
-val lookup : observables -> string -> Tabv_psl.Expr.value option
+(** The model's binding table: one typed reader per observable signal,
+    for compiling checker atoms ({!Tabv_psl.Expr.compile}). *)
+val bindings : observables -> (string * Tabv_psl.Expr.reader) list
 
 (** Environment snapshot (for trace recording). *)
 val env_of : observables -> (string * Tabv_psl.Expr.value) list

@@ -1,4 +1,5 @@
 open Tabv_sim
+module Expr = Tabv_psl.Expr
 
 type state =
   | Idle
@@ -135,18 +136,17 @@ let rdy_next_cycle t = t.rdy_next_cycle
 let rdy_next_next_cycle t = t.rdy_next_next_cycle
 
 (* Observation paths go through [Signal.observe] — the engine
-   interface read — so lookups, traces and VCD dumps are agnostic to
+   interface read — so checkers, traces and VCD dumps are agnostic to
    where the engine stores the value. *)
-let lookup t =
-  Duv_util.lookup_of
-    [ ("ds", fun () -> Duv_util.vbool (Signal.observe t.ds));
-      ("decrypt", fun () -> Duv_util.vbool (Signal.observe t.decrypt));
-      ("key", fun () -> Duv_util.vdata (Signal.observe t.key));
-      ("indata", fun () -> Duv_util.vdata (Signal.observe t.indata));
-      ("out", fun () -> Duv_util.vdata (Signal.observe t.out));
-      ("rdy", fun () -> Duv_util.vbool (Signal.observe t.rdy));
-      ("rdy_next_cycle", fun () -> Duv_util.vbool (Signal.observe t.rdy_next_cycle));
-      ("rdy_next_next_cycle", fun () -> Duv_util.vbool (Signal.observe t.rdy_next_next_cycle)) ]
+let bindings t =
+  [ ("ds", Expr.Bool_reader (fun () -> Signal.observe t.ds));
+    ("decrypt", Expr.Bool_reader (fun () -> Signal.observe t.decrypt));
+    ("key", Expr.Int_reader (fun () -> Duv_util.int_of_data (Signal.observe t.key)));
+    ("indata", Expr.Int_reader (fun () -> Duv_util.int_of_data (Signal.observe t.indata)));
+    ("out", Expr.Int_reader (fun () -> Duv_util.int_of_data (Signal.observe t.out)));
+    ("rdy", Expr.Bool_reader (fun () -> Signal.observe t.rdy));
+    ("rdy_next_cycle", Expr.Bool_reader (fun () -> Signal.observe t.rdy_next_cycle));
+    ("rdy_next_next_cycle", Expr.Bool_reader (fun () -> Signal.observe t.rdy_next_next_cycle)) ]
 
 let env t =
   [ ("ds", Duv_util.vbool (Signal.observe t.ds));

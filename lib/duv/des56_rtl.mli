@@ -50,8 +50,9 @@ val rdy : t -> bool Signal.t
 val rdy_next_cycle : t -> bool Signal.t
 val rdy_next_next_cycle : t -> bool Signal.t
 
-(** Property-layer view of the current (pre-edge) port values. *)
-val lookup : t -> string -> Tabv_psl.Expr.value option
+(** The model's binding table: one typed reader per observable signal,
+    for compiling checker atoms ({!Tabv_psl.Expr.compile}). *)
+val bindings : t -> (string * Tabv_psl.Expr.reader) list
 
 (** Environment snapshot for trace recording. *)
 val env : t -> (string * Tabv_psl.Expr.value) list

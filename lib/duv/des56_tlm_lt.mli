@@ -19,5 +19,8 @@ type t
 val create : Kernel.t -> t
 val target : t -> Tlm.Target.t
 val observables : t -> Des56_iface.observables
-val lookup : t -> string -> Tabv_psl.Expr.value option
+
+(** The model's binding table: one typed reader per observable signal,
+    for compiling checker atoms ({!Tabv_psl.Expr.compile}). *)
+val bindings : t -> (string * Tabv_psl.Expr.reader) list
 val completed : t -> int

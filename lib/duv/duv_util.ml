@@ -4,10 +4,8 @@ let int_of_data v =
     let truncated = Int64.to_int v in
     if truncated = 0 then 1 else truncated
 
-let lookup_of bindings name =
-  match List.assoc_opt name bindings with
-  | Some thunk -> Some (thunk ())
-  | None -> None
+let env_of_bindings bindings =
+  List.map (fun (name, reader) -> (name, Tabv_psl.Expr.read reader)) bindings
 
 let vbool b = Tabv_psl.Expr.VBool b
 let vint n = Tabv_psl.Expr.VInt n

@@ -9,9 +9,10 @@
     [0x8000000000000000L] to [0]). *)
 val int_of_data : int64 -> int
 
-(** Build a lookup function from an association list of thunks, for
-    observable environments backed by mutable state. *)
-val lookup_of : (string * (unit -> Tabv_psl.Expr.value)) list -> string -> Tabv_psl.Expr.value option
+(** Snapshot of a binding table's current values (for trace
+    recording). *)
+val env_of_bindings :
+  (string * Tabv_psl.Expr.reader) list -> (string * Tabv_psl.Expr.value) list
 
 val vbool : bool -> Tabv_psl.Expr.value
 val vint : int -> Tabv_psl.Expr.value

@@ -1,4 +1,5 @@
 open Tabv_sim
+module Expr = Tabv_psl.Expr
 
 let write_latency = 2
 let read_latency = 3
@@ -30,16 +31,15 @@ let create_observables () =
     ack_next_cycle = false; rdata = 0 }
 
 let bindings obs =
-  [ ("req", fun () -> Duv_util.vbool obs.req);
-    ("we", fun () -> Duv_util.vbool obs.we);
-    ("addr", fun () -> Duv_util.vint obs.addr);
-    ("wdata", fun () -> Duv_util.vint obs.wdata);
-    ("ack", fun () -> Duv_util.vbool obs.ack);
-    ("ack_next_cycle", fun () -> Duv_util.vbool obs.ack_next_cycle);
-    ("rdata", fun () -> Duv_util.vint obs.rdata) ]
+  [ ("req", Expr.Bool_reader (fun () -> obs.req));
+    ("we", Expr.Bool_reader (fun () -> obs.we));
+    ("addr", Expr.Int_reader (fun () -> obs.addr));
+    ("wdata", Expr.Int_reader (fun () -> obs.wdata));
+    ("ack", Expr.Bool_reader (fun () -> obs.ack));
+    ("ack_next_cycle", Expr.Bool_reader (fun () -> obs.ack_next_cycle));
+    ("rdata", Expr.Int_reader (fun () -> obs.rdata)) ]
 
-let lookup obs = Duv_util.lookup_of (bindings obs)
-let env_of obs = List.map (fun (name, thunk) -> (name, thunk ())) (bindings obs)
+let env_of obs = Duv_util.env_of_bindings (bindings obs)
 
 type frame = {
   m_req : bool;

@@ -1,4 +1,5 @@
 open Tabv_sim
+module Expr = Tabv_psl.Expr
 
 type pending =
   | No_op
@@ -88,17 +89,16 @@ let ack_next_cycle t = t.ack_next_cycle
 let rdata t = t.rdata
 
 (* Observation paths read through the engine interface
-   ([Signal.observe]), keeping traces and lookups engine-agnostic. *)
+   ([Signal.observe]), keeping traces and checkers engine-agnostic. *)
 let bindings t =
-  [ ("req", fun () -> Duv_util.vbool (Signal.observe t.req));
-    ("we", fun () -> Duv_util.vbool (Signal.observe t.we));
-    ("addr", fun () -> Duv_util.vint (Signal.observe t.addr));
-    ("wdata", fun () -> Duv_util.vint (Signal.observe t.wdata));
-    ("ack", fun () -> Duv_util.vbool (Signal.observe t.ack));
-    ("ack_next_cycle", fun () -> Duv_util.vbool (Signal.observe t.ack_next_cycle));
-    ("rdata", fun () -> Duv_util.vint (Signal.observe t.rdata)) ]
+  [ ("req", Expr.Bool_reader (fun () -> Signal.observe t.req));
+    ("we", Expr.Bool_reader (fun () -> Signal.observe t.we));
+    ("addr", Expr.Int_reader (fun () -> Signal.observe t.addr));
+    ("wdata", Expr.Int_reader (fun () -> Signal.observe t.wdata));
+    ("ack", Expr.Bool_reader (fun () -> Signal.observe t.ack));
+    ("ack_next_cycle", Expr.Bool_reader (fun () -> Signal.observe t.ack_next_cycle));
+    ("rdata", Expr.Int_reader (fun () -> Signal.observe t.rdata)) ]
 
-let lookup t = Duv_util.lookup_of (bindings t)
-let env t = List.map (fun (name, thunk) -> (name, thunk ())) (bindings t)
+let env t = Duv_util.env_of_bindings (bindings t)
 let completed t = t.completed
 let peek t address = t.memory.(address land (Memctrl_iface.address_space - 1))

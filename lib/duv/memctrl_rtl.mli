@@ -25,7 +25,9 @@ val ack : t -> bool Signal.t
 val ack_next_cycle : t -> bool Signal.t
 val rdata : t -> int Signal.t
 
-val lookup : t -> string -> Tabv_psl.Expr.value option
+(** The model's binding table: one typed reader per observable signal,
+    for compiling checker atoms ({!Tabv_psl.Expr.compile}). *)
+val bindings : t -> (string * Tabv_psl.Expr.reader) list
 val env : t -> (string * Tabv_psl.Expr.value) list
 val completed : t -> int
 

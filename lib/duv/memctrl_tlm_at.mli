@@ -15,6 +15,9 @@ val create : ?write_latency_ns:int -> ?read_latency_ns:int -> Kernel.t -> t
 
 val target : t -> Tlm.Target.t
 val observables : t -> Memctrl_iface.observables
-val lookup : t -> string -> Tabv_psl.Expr.value option
+
+(** The model's binding table: one typed reader per observable signal,
+    for compiling checker atoms ({!Tabv_psl.Expr.compile}). *)
+val bindings : t -> (string * Tabv_psl.Expr.reader) list
 val completed : t -> int
 val peek : t -> int -> int

@@ -83,10 +83,12 @@ val metrics_json :
 
     Shared by the sibling testbenches (e.g. {!Memctrl_testbench}). *)
 
-(** A fresh shared atom sampler whose query/eval counters are
+(** A fresh shared atom sampler over a model's binding table, whose
+    query/eval counters are
     published on the kernel's metrics registry (when enabled) as the
     summed probes [checker.sampler.queries] / [checker.sampler.evals]. *)
-val pool_sampler : Tabv_sim.Kernel.t -> Sampler.t
+val pool_sampler :
+  Tabv_sim.Kernel.t -> (string * Expr.reader) list -> Sampler.t
 
 (** Attach every property through the unified {!Checker.attach} entry
     point with one shared mode/sampler. *)
@@ -96,7 +98,6 @@ val attach_pool :
   Checker.Attach.mode ->
   Sampler.t ->
   Property.t list ->
-  lookup:(string -> Expr.value option) ->
   Checker.t list
 
 (** End-of-run registry snapshot; [[]] when the kernel's registry is

@@ -50,18 +50,21 @@ let signals_arith a = List.sort_uniq String.compare (signals_arith_acc [] a)
 let mentions_any e names =
   List.exists (fun s -> List.mem s names) (signals e)
 
+let unbound_message v = Printf.sprintf "unbound signal %S" v
+let not_int_message v = Printf.sprintf "signal %S is boolean, expected integer" v
+let unbound_signal v = raise (Eval_error (unbound_message v))
+
 let eval_value lookup v =
   match lookup v with
   | Some value -> value
-  | None -> raise (Eval_error (Printf.sprintf "unbound signal %S" v))
+  | None -> unbound_signal v
 
 let rec eval_arith lookup = function
   | Int n -> n
   | Avar v ->
     (match eval_value lookup v with
      | VInt n -> n
-     | VBool _ ->
-       raise (Eval_error (Printf.sprintf "signal %S is boolean, expected integer" v)))
+     | VBool _ -> raise (Eval_error (not_int_message v)))
   | Add (a, b) -> eval_arith lookup a + eval_arith lookup b
   | Sub (a, b) -> eval_arith lookup a - eval_arith lookup b
   | Mul (a, b) -> eval_arith lookup a * eval_arith lookup b
@@ -85,6 +88,102 @@ let rec eval lookup = function
   | And (a, b) -> eval lookup a && eval lookup b
   | Or (a, b) -> eval lookup a || eval lookup b
   | Cmp (op, a, b) -> apply_cmp op (eval_arith lookup a) (eval_arith lookup b)
+
+(* --- compiled readers ------------------------------------------------ *)
+
+type reader =
+  | Bool_reader of (unit -> bool)
+  | Int_reader of (unit -> int)
+  | Value_reader of (unit -> value)
+
+type resolver = string -> reader option
+
+let resolver bindings name = List.assoc_opt name bindings
+
+let read = function
+  | Bool_reader r -> VBool (r ())
+  | Int_reader r -> VInt (r ())
+  | Value_reader r -> r ()
+
+(* Resolution failures are compiled into readers that raise when (and
+   only when) the interpreter would have: at the first read, after the
+   same short-circuits.  Binary arithmetic and comparisons read their
+   right operand first, which is the order the native and bytecode
+   compilers evaluate the operands of [eval_arith] and [apply_cmp]. *)
+let failing msg () = raise (Eval_error msg)
+
+let rec compile_arith resolve = function
+  | Int n -> fun () -> n
+  | Avar v ->
+    (match resolve v with
+     | Some (Int_reader r) -> r
+     | Some (Bool_reader _) -> failing (not_int_message v)
+     | Some (Value_reader r) ->
+       fun () ->
+         (match r () with
+          | VInt n -> n
+          | VBool _ -> raise (Eval_error (not_int_message v)))
+     | None -> failing (unbound_message v))
+  | Add (a, b) ->
+    let ra = compile_arith resolve a and rb = compile_arith resolve b in
+    fun () ->
+      let y = rb () in
+      ra () + y
+  | Sub (a, b) ->
+    let ra = compile_arith resolve a and rb = compile_arith resolve b in
+    fun () ->
+      let y = rb () in
+      ra () - y
+  | Mul (a, b) ->
+    let ra = compile_arith resolve a and rb = compile_arith resolve b in
+    fun () ->
+      let y = rb () in
+      ra () * y
+
+let compile_cmp op ra rb : unit -> bool =
+  match op with
+  | Eq -> fun () -> let y = rb () in Int.equal (ra ()) y
+  | Neq -> fun () -> let y = rb () in not (Int.equal (ra ()) y)
+  | Lt -> fun () -> let y = rb () in ra () < y
+  | Le -> fun () -> let y = rb () in ra () <= y
+  | Gt -> fun () -> let y = rb () in ra () > y
+  | Ge -> fun () -> let y = rb () in ra () >= y
+
+(* Comparison against a constant, the common shape of DUV atoms
+   ([indata == 0], [addr < 128]): one reader call, no operand thunk. *)
+let compile_cmp_const op ra (n : int) : unit -> bool =
+  match op with
+  | Eq -> fun () -> Int.equal (ra ()) n
+  | Neq -> fun () -> not (Int.equal (ra ()) n)
+  | Lt -> fun () -> ra () < n
+  | Le -> fun () -> ra () <= n
+  | Gt -> fun () -> ra () > n
+  | Ge -> fun () -> ra () >= n
+
+let rec compile resolve = function
+  | Bool b -> fun () -> b
+  | Var v ->
+    (match resolve v with
+     | Some (Bool_reader r) -> r
+     | Some (Int_reader r) -> fun () -> r () <> 0
+     | Some (Value_reader r) ->
+       fun () ->
+         (match r () with
+          | VBool b -> b
+          | VInt n -> n <> 0)
+     | None -> failing (unbound_message v))
+  | Not e ->
+    let r = compile resolve e in
+    fun () -> not (r ())
+  | And (a, b) ->
+    let ra = compile resolve a and rb = compile resolve b in
+    fun () -> ra () && rb ()
+  | Or (a, b) ->
+    let ra = compile resolve a and rb = compile resolve b in
+    fun () -> ra () || rb ()
+  | Cmp (op, a, Int n) -> compile_cmp_const op (compile_arith resolve a) n
+  | Cmp (op, a, b) ->
+    compile_cmp op (compile_arith resolve a) (compile_arith resolve b)
 
 let rec simplify = function
   | (Bool _ | Var _) as e -> e

@@ -2,10 +2,9 @@ type t = {
   kernel : Kernel.t;
   name : string;
   compiled : bool;  (* engine of [kernel], latched at creation *)
-  mutable static : (unit -> unit) list;  (* reversed registration order *)
   mutable dynamic : (unit -> unit) list;
-  (* Compiled-engine mirror of [static]: registration-ordered handler
-     and partition-tag arrays, iterated without allocating on fire. *)
+  (* Static handlers and their partition tags, in registration order,
+     iterated without allocating on fire. *)
   mutable statics : (unit -> unit) array;
   mutable parts : int array;
   mutable n_static : int;
@@ -24,7 +23,6 @@ let create kernel name =
     kernel;
     name;
     compiled = Kernel.is_compiled kernel;
-    static = [];
     dynamic = [];
     statics = Array.make 4 ignore;
     parts = Array.make 4 (-1);
@@ -40,24 +38,14 @@ let kernel t = t.kernel
 
 let fire t =
   t.notifications <- t.notifications + 1;
-  if t.compiled then begin
-    (if t.n_fused >= 0 && not (Kernel.pool_active t.kernel) then
-       Kernel.schedule_next_delta_batch t.kernel t.fstatics t.fparts t.n_fused
-     else
-       Kernel.schedule_next_delta_batch t.kernel t.statics t.parts t.n_static);
-    if t.dynamic <> [] then begin
-      let dynamic = List.rev t.dynamic in
-      t.dynamic <- [];
-      List.iter (fun f -> Kernel.schedule_next_delta t.kernel f) dynamic
-    end
-  end
-  else begin
-    let dynamic = List.rev t.dynamic in
+  (if t.compiled && t.n_fused >= 0 && not (Kernel.pool_active t.kernel) then
+     Kernel.schedule_next_delta_batch t.kernel t.fstatics t.fparts t.n_fused
+   else Kernel.schedule_next_delta_batch t.kernel t.statics t.parts t.n_static);
+  match t.dynamic with
+  | [] -> ()
+  | dynamic ->
     t.dynamic <- [];
-    let static = List.rev t.static in
-    List.iter (fun f -> Kernel.schedule_next_delta t.kernel f) static;
-    List.iter (fun f -> Kernel.schedule_next_delta t.kernel f) dynamic
-  end
+    List.iter (fun f -> Kernel.schedule_next_delta t.kernel f) (List.rev dynamic)
 
 let notify t = fire t
 
@@ -71,7 +59,6 @@ let subscribe t f =
   t.n_fused <- -1;
   t.fstatics <- [||];
   t.fparts <- [||];
-  t.static <- f :: t.static;
   if t.n_static = Array.length t.statics then begin
     let grown = Array.make (2 * t.n_static) ignore in
     Array.blit t.statics 0 grown 0 t.n_static;

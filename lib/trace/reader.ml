@@ -13,12 +13,19 @@ type dict_entry = { name : string; kind : char }
 
 type t = {
   ic : in_channel;
+  buf : Bytes.t;  (* read-ahead block of the file *)
+  mutable buf_pos : int;
+  mutable buf_len : int;
   path : string;
-  meta : Meta.t;
+  mutable meta : Meta.t;
   tbl : int array;  (* cached CRC table for the per-byte fold *)
+  mutable read_byte : unit -> char;  (* [byte t], allocated once *)
+  mutable scratch : Bytes.t;  (* bit masks and CRC trailers *)
   mutable dict : dict_entry array;
   mutable dict_read : bool;
   mutable values : Expr.value array;  (* current valuation *)
+  mutable changed : bool array;  (* change mask of the current sample *)
+  mutable pairs : (string * Expr.value) array;  (* current env entries *)
   mutable env_cache : (string * Expr.value) list;  (* last emitted env *)
   mutable have_prev : bool;
   mutable prev_time : int;
@@ -38,6 +45,42 @@ let corrupt t message =
     (Format_error
        { path = t.path; message; offset = t.pos; valid_prefix = t.last_good })
 
+(* The file is read a block at a time into [buf]: a channel read per
+   byte is a C call that takes the channel lock.  [input_char] and
+   [really_input] keep the channel functions' contract: End_of_file
+   when the file ends first. *)
+let refill t =
+  t.buf_pos <- 0;
+  t.buf_len <- input t.ic t.buf 0 (Bytes.length t.buf);
+  t.buf_len > 0
+
+let input_char t =
+  if t.buf_pos < t.buf_len || refill t then begin
+    let c = Bytes.unsafe_get t.buf t.buf_pos in
+    t.buf_pos <- t.buf_pos + 1;
+    c
+  end
+  else raise End_of_file
+
+let really_input t dst off len =
+  if t.buf_len - t.buf_pos >= len then begin
+    (* Sample masks and CRC trailers are a few bytes: copy them inline. *)
+    if len <= 16 then
+      for i = 0 to len - 1 do
+        Bytes.unsafe_set dst (off + i) (Bytes.unsafe_get t.buf (t.buf_pos + i))
+      done
+    else Bytes.blit t.buf t.buf_pos dst off len;
+    t.buf_pos <- t.buf_pos + len
+  end
+  else begin
+    (* Crossing a block boundary: take what is buffered, then read
+       the rest from the channel directly. *)
+    let have = t.buf_len - t.buf_pos in
+    Bytes.blit t.buf t.buf_pos dst off have;
+    t.buf_pos <- t.buf_len;
+    Stdlib.really_input t.ic dst (off + have) (len - have)
+  end
+
 (* All reads funnel through [byte] / [really_read]: they keep [pos]
    and the running block CRC, so corruption reports carry the exact
    offset and the verified (salvageable) prefix.  A clean EOF is only
@@ -45,7 +88,7 @@ let corrupt t message =
    truncation.  [t.crc] holds the raw (uncomplemented) register —
    see {!Crc32.Raw} — so the per-byte fold is one table lookup. *)
 let byte t () =
-  match input_char t.ic with
+  match input_char t with
   | c ->
     t.pos <- t.pos + 1;
     t.crc <-
@@ -56,7 +99,7 @@ let byte t () =
 
 let really_read t len =
   let b = Bytes.create len in
-  match really_input t.ic b 0 len with
+  match really_input t b 0 len with
   | () ->
     let s = Bytes.unsafe_to_string b in
     t.pos <- t.pos + len;
@@ -64,13 +107,29 @@ let really_read t len =
     s
   | exception End_of_file -> corrupt t "truncated (unexpected end of file)"
 
+(* [really_read] into the reader's scratch buffer: the per-sample bit
+   masks are decoded in place, so reading them allocates nothing. *)
+let read_scratch t len =
+  if Bytes.length t.scratch < len then
+    t.scratch <- Bytes.create (max len (2 * Bytes.length t.scratch));
+  match really_input t t.scratch 0 len with
+  | () ->
+    t.pos <- t.pos + len;
+    t.crc <-
+      Crc32.Raw.feed_string t.tbl t.crc (Bytes.unsafe_to_string t.scratch) ~pos:0
+        ~len
+  | exception End_of_file -> corrupt t "truncated (unexpected end of file)"
+
+let scratch_bit t i =
+  Char.code (Bytes.unsafe_get t.scratch (i lsr 3)) land (1 lsl (i land 7)) <> 0
+
 (* The 4 CRC bytes closing a block: compared against the running CRC
    of the block's body, excluded from it themselves.  A verified block
    extends the salvageable prefix. *)
 let end_block t =
   let expect = Crc32.Raw.finish t.crc in
-  let b = Bytes.create Layout.crc_bytes in
-  (match really_input t.ic b 0 Layout.crc_bytes with
+  let b = t.scratch in
+  (match really_input t b 0 Layout.crc_bytes with
    | () -> t.pos <- t.pos + Layout.crc_bytes
    | exception End_of_file -> corrupt t "truncated (unexpected end of file)");
   let stored = ref 0 in
@@ -81,15 +140,36 @@ let end_block t =
   t.crc <- Crc32.Raw.start;
   t.last_good <- t.pos
 
+(* A buffered one-byte varint (nearly every time delta and small
+   value) decodes inline; [-1] sends the caller to {!Varint}. *)
+let read_short t =
+  if t.buf_pos < t.buf_len then begin
+    let code = Char.code (Bytes.unsafe_get t.buf t.buf_pos) in
+    if code < 0x80 then begin
+      t.buf_pos <- t.buf_pos + 1;
+      t.pos <- t.pos + 1;
+      t.crc <- Array.unsafe_get t.tbl ((t.crc lxor code) land 0xFF) lxor (t.crc lsr 8);
+      code
+    end
+    else -1
+  end
+  else -1
+
 let read_uint t =
-  match Varint.read_uint (byte t) with
-  | v -> v
-  | exception Varint.Corrupt msg -> corrupt t msg
+  let v = read_short t in
+  if v >= 0 then v
+  else
+    match Varint.read_uint t.read_byte with
+    | v -> v
+    | exception Varint.Corrupt msg -> corrupt t msg
 
 let read_zigzag t =
-  match Varint.read_zigzag (byte t) with
-  | v -> v
-  | exception Varint.Corrupt msg -> corrupt t msg
+  let u = read_short t in
+  if u >= 0 then (u lsr 1) lxor -(u land 1)
+  else
+    match Varint.read_zigzag t.read_byte with
+    | v -> v
+    | exception Varint.Corrupt msg -> corrupt t msg
 
 let read_string t =
   let len = read_uint t in
@@ -101,11 +181,18 @@ let open_file path =
   let t =
     {
       ic;
+      buf = Bytes.create 4096;
+      buf_pos = 0;
+      buf_len = 0;
       path;
       meta = { Meta.model = ""; seed = 0; ops = 0; engine = "" };
+      read_byte = (fun () -> '\000');
+      scratch = Bytes.create 16;
       dict = [||];
       dict_read = false;
       values = [||];
+      changed = [||];
+      pairs = [||];
       env_cache = [];
       have_prev = false;
       prev_time = 0;
@@ -121,9 +208,10 @@ let open_file path =
       closed = false;
     }
   in
+  t.read_byte <- byte t;
   try
     let magic = Bytes.create (String.length Layout.magic) in
-    (match really_input ic magic 0 (Bytes.length magic) with
+    (match really_input t magic 0 (Bytes.length magic) with
      | () -> t.pos <- Bytes.length magic
      | exception End_of_file -> corrupt t "not a tabv trace (file too short)");
     let magic = Bytes.unsafe_to_string magic in
@@ -141,7 +229,8 @@ let open_file path =
     let ops = read_uint t in
     let engine = read_string t in
     end_block t;
-    { t with meta = { Meta.model; seed; ops; engine } }
+    t.meta <- { Meta.model; seed; ops; engine };
+    t
   with e ->
     close_in_noerr ic;
     raise e
@@ -158,6 +247,11 @@ let close t =
     close_in_noerr t.ic
   end
 
+(* Booleans are decoded to shared constants, so an unchanged boolean
+   stays physically equal from one env to the next. *)
+let vtrue = Expr.VBool true
+let vfalse = Expr.VBool false
+
 let read_dict t =
   if t.dict_read then corrupt t "duplicate signal dictionary";
   let n = read_uint t in
@@ -171,12 +265,9 @@ let read_dict t =
           corrupt t "unknown signal kind";
         { name; kind });
   t.dict_read <- true;
-  t.values <- Array.make n (Expr.VBool false)
-
-let read_bits t count =
-  let bytes = (count + 7) / 8 in
-  let packed = really_read t bytes in
-  fun i -> Char.code packed.[i / 8] land (1 lsl (i mod 8)) <> 0
+  t.values <- Array.make n vfalse;
+  t.changed <- Array.make n false;
+  t.pairs <- Array.map (fun e -> (e.name, vfalse)) t.dict
 
 let read_sample t =
   if not t.dict_read then corrupt t "sample before signal dictionary";
@@ -189,42 +280,49 @@ let read_sample t =
     else dt
   in
   let first = not t.have_prev in
-  let n = Array.length t.dict in
-  let changed = read_bits t n in
-  let changed_bools = ref [] in
-  let changed_ints = ref 0 in
-  for i = n - 1 downto 0 do
-    if changed i then
-      if t.dict.(i).kind = Layout.kind_bool then
-        changed_bools := i :: !changed_bools
-      else incr changed_ints
-  done;
-  let changed_bools = Array.of_list !changed_bools in
-  let bool_bits = read_bits t (Array.length changed_bools) in
-  Array.iteri
-    (fun j i -> t.values.(i) <- Expr.VBool (bool_bits j))
-    changed_bools;
+  let dict = t.dict and changed = t.changed and values = t.values in
+  let n = Array.length dict in
+  read_scratch t ((n + 7) / 8);
+  let n_bools = ref 0 and n_ints = ref 0 in
   for i = 0 to n - 1 do
-    if changed i && t.dict.(i).kind = Layout.kind_int then
-      t.values.(i) <- Expr.VInt (read_zigzag t)
+    let c = scratch_bit t i in
+    changed.(i) <- c;
+    if c then if dict.(i).kind = Layout.kind_bool then incr n_bools else incr n_ints
   done;
-  if (not t.have_prev) && n > 0 then
+  read_scratch t ((!n_bools + 7) / 8);
+  let j = ref 0 in
+  for i = 0 to n - 1 do
+    if changed.(i) && dict.(i).kind = Layout.kind_bool then begin
+      values.(i) <- (if scratch_bit t !j then vtrue else vfalse);
+      incr j
+    end
+  done;
+  for i = 0 to n - 1 do
+    if changed.(i) && dict.(i).kind = Layout.kind_int then
+      values.(i) <- Expr.VInt (read_zigzag t)
+  done;
+  if first && n > 0 then
     (* The first sample must carry every signal. *)
     for i = 0 to n - 1 do
-      if not (changed i) then corrupt t "first sample is missing signals"
+      if not changed.(i) then corrupt t "first sample is missing signals"
     done;
   t.have_prev <- true;
   t.prev_time <- time;
   t.n_samples <- t.n_samples + 1;
   (* A change-mask-0 sample re-emits the previous env, physically —
      no allocation, and downstream consumers (the offline stutter
-     fast path) can detect stuttering with one pointer compare. *)
-  let env =
-    if (not first) && Array.length changed_bools = 0 && !changed_ints = 0 then
-      t.env_cache
-    else List.init n (fun i -> (t.dict.(i).name, t.values.(i)))
-  in
-  t.env_cache <- env;
+     fast path) can detect stuttering with one pointer compare.  A
+     changed sample shares the entries of its unchanged signals with
+     the previous env. *)
+  if first || !n_bools + !n_ints > 0 then begin
+    let env = ref [] in
+    for i = n - 1 downto 0 do
+      if changed.(i) then t.pairs.(i) <- (dict.(i).name, values.(i));
+      env := t.pairs.(i) :: !env
+    done;
+    t.env_cache <- !env
+  end;
+  let env = t.env_cache in
   Entry.Sample { time; env }
 
 let read_span t =
@@ -246,7 +344,7 @@ let read_end t =
          "end record disagrees with contents (%d/%d samples, %d/%d spans)"
          t.n_samples want_samples t.n_spans want_spans);
   end_block t;
-  (match input_char t.ic with
+  (match input_char t with
    | _ ->
      t.pos <- t.pos + 1;
      corrupt t "trailing bytes after end record"
@@ -260,7 +358,7 @@ let rec next t =
   if t.finished || t.closed then None
   else begin
     t.crc <- Crc32.Raw.start;
-    match input_char t.ic with
+    match input_char t with
     | exception End_of_file ->
       corrupt t "truncated (no end record)"
     | tag ->

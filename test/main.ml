@@ -9,6 +9,13 @@ let () =
   end
 
 let () =
+  if Array.length Sys.argv > 1 && Sys.argv.(1) = Test_durability.crc_first_use_flag
+  then begin
+    Test_durability.crc_first_use_child ();
+    exit 0
+  end
+
+let () =
   Alcotest.run "tabv"
     [ Test_expr.suite;
       Test_ltl.suite;
@@ -46,4 +53,5 @@ let () =
       Test_campaign.suite;
       Test_trace.suite;
       Test_serve.suite;
-      Test_durability.suite ]
+      Test_durability.suite;
+      Test_oracle.suite ]

@@ -185,10 +185,10 @@ let integration_cases =
       (* A timed property cannot be tabled: the monitor silently falls
          back to progression. *)
       let q3 = Parser.property_exn ~name:"q3" "always (!ds || nexte[1,170](rdy)) @tb" in
-      let monitor = Monitor.create ~engine:`Automaton q3 in
+      let monitor = Lookup_env.monitor ~engine:`Automaton q3 in
       Alcotest.(check bool) "fell back" true (Monitor.engine monitor = `Progression);
       let p1 = Tabv_duv.Des56_props.p1 in
-      let monitor = Monitor.create ~engine:`Automaton p1 in
+      let monitor = Lookup_env.monitor ~engine:`Automaton p1 in
       Alcotest.(check bool) "tabled" true (Monitor.engine monitor = `Automaton)) ]
 
 let monitor_equivalence_cases =
@@ -202,10 +202,10 @@ let monitor_equivalence_cases =
             ~context:(Context.Transaction Context.Base_trans) (Ltl.Always f)
         in
         let run engine =
-          let monitor = Monitor.create ~engine property in
+          let monitor = Lookup_env.monitor ~engine property in
           for i = 0 to Trace.length trace - 1 do
             let entry = Trace.get trace i in
-            Monitor.step monitor ~time:entry.Trace.time (Trace.lookup entry)
+            Lookup_env.step monitor ~time:entry.Trace.time (Trace.lookup entry)
           done;
           ( Monitor.activations monitor,
             Monitor.passes monitor,
@@ -214,7 +214,7 @@ let monitor_equivalence_cases =
         in
         (* Skip when the body cannot be tabled (fallback makes the two
            runs identical by construction). *)
-        let probe = Monitor.create ~engine:`Automaton property in
+        let probe = Lookup_env.monitor ~engine:`Automaton property in
         Monitor.engine probe <> `Automaton || run `Progression = run `Automaton) ]
 
 let suite =

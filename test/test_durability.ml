@@ -56,6 +56,24 @@ let with_hook hook f =
 
 (* --- CRC32 --------------------------------------------------------- *)
 
+let crc_first_use_flag = "_crc_first_use"
+
+(* Child side of the two-domain first-use test: both domains compute
+   their first CRC at the same moment; exit 1 on a wrong value (an
+   exception exits 2). *)
+let crc_first_use_child () =
+  let ready = Atomic.make 0 in
+  let first_crc () =
+    Atomic.incr ready;
+    while Atomic.get ready < 2 do
+      Domain.cpu_relax ()
+    done;
+    Crc32.string "123456789"
+  in
+  let other = Domain.spawn first_crc in
+  let mine = first_crc () in
+  if mine <> 0xcbf43926 || Domain.join other <> 0xcbf43926 then exit 1
+
 let crc_cases =
   [ case "known vectors" (fun () ->
       Alcotest.(check int) "empty" 0 (Crc32.string "");
@@ -87,7 +105,28 @@ let crc_cases =
         let i = i mod String.length s in
         let b = Bytes.of_string s in
         Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 0x01));
-        Crc32.string (Bytes.to_string b) <> Crc32.string s) ]
+        Crc32.string (Bytes.to_string b) <> Crc32.string s);
+    case "first use from two domains at once, in fresh processes" (fun () ->
+      (* The first CRC of a process used to force a lazy table, and two
+         domains forcing it together raised CamlinternalLazy.Undefined.
+         Only a fresh process has an unused table, so re-execute this
+         binary ([crc_first_use_child]) for about a second. *)
+      let deadline = Unix.gettimeofday () +. 1.0 in
+      let runs = ref 0 in
+      let null = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
+      Fun.protect ~finally:(fun () -> Unix.close null) @@ fun () ->
+      while !runs < 200 && (!runs = 0 || Unix.gettimeofday () < deadline) do
+        let pid =
+          Unix.create_process Sys.executable_name
+            [| Sys.executable_name; crc_first_use_flag |]
+            Unix.stdin null Unix.stderr
+        in
+        (match Unix.waitpid [] pid with
+         | _, Unix.WEXITED 0 -> ()
+         | _, (Unix.WEXITED n | Unix.WSIGNALED n | Unix.WSTOPPED n) ->
+           Alcotest.failf "run %d: first-use child ended with status %d" !runs n);
+        incr runs
+      done) ]
 
 (* --- the Io seam --------------------------------------------------- *)
 

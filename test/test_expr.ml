@@ -92,6 +92,118 @@ let pp_roundtrip_cases =
       in
       Expr.eval env e = Expr.eval env (Expr.simplify e)) ]
 
+(* --- compiled readers agree with the interpreter ----------------------
+
+   Random expressions over a small signal pool, against random
+   environments in which every signal may be absent, boolean or
+   integer — so unbound signals and bool/int mismatches are common, at
+   every depth and on both sides of every operator. *)
+
+let reader_signals = [ "a"; "b"; "x"; "y"; "u" ]
+
+let gen_reader_arith =
+  let open QCheck.Gen in
+  sized_size (int_bound 3) @@ fix (fun self n ->
+    let leaf =
+      oneof
+        [ map (fun i -> Expr.Int i) (int_range (-3) 3);
+          map (fun v -> Expr.Avar v) (oneofl reader_signals) ]
+    in
+    if n = 0 then leaf
+    else
+      oneof
+        [ leaf;
+          map2 (fun a b -> Expr.Add (a, b)) (self (n / 2)) (self (n / 2));
+          map2 (fun a b -> Expr.Sub (a, b)) (self (n / 2)) (self (n / 2));
+          map2 (fun a b -> Expr.Mul (a, b)) (self (n / 2)) (self (n / 2)) ])
+
+let gen_reader_expr =
+  let open QCheck.Gen in
+  sized_size (int_bound 4) @@ fix (fun self n ->
+    let leaf =
+      oneof
+        [ map (fun b -> Expr.Bool b) bool;
+          map (fun v -> Expr.Var v) (oneofl reader_signals);
+          map3 (fun op a b -> Expr.Cmp (op, a, b)) Helpers.gen_cmp_op
+            gen_reader_arith gen_reader_arith ]
+    in
+    if n = 0 then leaf
+    else
+      oneof
+        [ leaf;
+          map (fun e -> Expr.Not e) (self (n - 1));
+          map2 (fun a b -> Expr.And (a, b)) (self (n / 2)) (self (n / 2));
+          map2 (fun a b -> Expr.Or (a, b)) (self (n / 2)) (self (n / 2)) ])
+
+let gen_reader_env =
+  let open QCheck.Gen in
+  let value =
+    oneof
+      [ map (fun b -> Expr.VBool b) bool;
+        map (fun n -> Expr.VInt n) (int_range (-3) 3) ]
+  in
+  map (List.filter_map Fun.id)
+    (flatten_l
+       (List.map
+          (fun name -> option (map (fun v -> (name, v)) value))
+          reader_signals))
+
+(* Typed readers, as a DUV binding table provides them. *)
+let typed_resolver env name =
+  match List.assoc_opt name env with
+  | Some (Expr.VBool b) -> Some (Expr.Bool_reader (fun () -> b))
+  | Some (Expr.VInt n) -> Some (Expr.Int_reader (fun () -> n))
+  | None -> None
+
+(* Self-typed readers, as a trace entry provides them. *)
+let value_resolver env name =
+  Some
+    (Expr.Value_reader
+       (fun () ->
+         match List.assoc_opt name env with
+         | Some v -> v
+         | None -> Expr.unbound_signal name))
+
+let outcome f =
+  match f () with
+  | v -> Ok v
+  | exception Expr.Eval_error msg -> Error msg
+
+let arb_expr_env =
+  QCheck.make
+    ~print:(fun (e, env) ->
+      Format.asprintf "%a on [%s]" Expr.pp e
+        (String.concat "; "
+           (List.map
+              (fun (n, v) -> Format.asprintf "%s=%a" n Expr.pp_value v)
+              env)))
+    QCheck.Gen.(pair gen_reader_expr gen_reader_env)
+
+let compile_cases =
+  [ Helpers.qtest ~count:2000 "typed readers match the interpreter" arb_expr_env
+      (fun (e, env) ->
+        outcome (fun () -> Expr.eval (lookup_of env) e)
+        = outcome (Expr.compile (typed_resolver env) e));
+    Helpers.qtest ~count:2000 "value readers match the interpreter" arb_expr_env
+      (fun (e, env) ->
+        outcome (fun () -> Expr.eval (lookup_of env) e)
+        = outcome (Expr.compile (value_resolver env) e));
+    Alcotest.test_case "resolution failures wait for the first read" `Quick
+      (fun () ->
+        let resolve = typed_resolver [ ("b", Expr.VBool true) ] in
+        let reader =
+          Expr.compile resolve (Expr.Or (Expr.Var "nosuch", Expr.Var "b"))
+        in
+        Alcotest.check_raises "unbound at read"
+          (Expr.Eval_error "unbound signal \"nosuch\"") (fun () ->
+            ignore (reader ()));
+        let guarded =
+          Expr.compile resolve
+            (Expr.And (Expr.Bool false, Expr.Cmp (Expr.Eq, Expr.Avar "b", Expr.Int 0)))
+        in
+        Alcotest.(check bool) "short-circuit skips the bad read" false (guarded ())) ]
+
 let suite =
   ("expr",
-   eval_cases @ error_cases @ signal_cases @ simplify_cases @ pp_roundtrip_cases)
+   eval_cases @ error_cases @ signal_cases @ simplify_cases @ pp_roundtrip_cases
+   @ compile_cases)

@@ -71,7 +71,7 @@ let cases =
       let kernel = Tabv_sim.Kernel.create () in
       match
         Tabv_checker.Wrapper.attach_grid kernel ~clock_period:10 Des56_props.p1
-          ~lookup:(fun _ -> None)
+          ~sampler:(Lookup_env.fixed_sampler (fun _ -> None))
       with
       | _ -> Alcotest.fail "expected Invalid_argument"
       | exception Invalid_argument _ -> ()) ]

@@ -92,10 +92,10 @@ let run_monitor engine (f, trace) =
   let property =
     Property.make ~name:"eq" ~context:(Context.Transaction Context.Base_trans) f
   in
-  let monitor = Monitor.create ~engine property in
+  let monitor = Lookup_env.monitor ~engine property in
   for i = 0 to Trace.length trace - 1 do
     let entry = Trace.get trace i in
-    Monitor.step monitor ~time:entry.Trace.time (Trace.lookup entry)
+    Lookup_env.step monitor ~time:entry.Trace.time (Trace.lookup entry)
   done;
   monitor
 
@@ -131,16 +131,16 @@ let env ~a ~b = lookup_of [ ("a", Expr.VBool a); ("b", Expr.VBool b) ]
 
 let sampler_cases =
   [ case "shared sampler evaluates each atom once per instant" (fun () ->
-      let sampler = Sampler.create () in
+      let sampler = Lookup_env.sampler () in
       let monitors =
         List.init 4 (fun i ->
-            Monitor.create ~sampler
+            Lookup_env.monitor ~sampler
               (Parser.property_exn ~name:(Printf.sprintf "s%d" i)
                  "always(a || next(b))"))
       in
       for t = 0 to 9 do
         List.iter
-          (fun m -> Monitor.step m ~time:(t * 10) (env ~a:(t mod 2 = 0) ~b:true))
+          (fun m -> Lookup_env.step m ~time:(t * 10) (env ~a:(t mod 2 = 0) ~b:true))
           monitors
       done;
       Alcotest.(check bool) "cache shared across the pool" true
@@ -150,16 +150,16 @@ let sampler_cases =
       Alcotest.(check bool) "at most one eval per atom per instant" true
         (Sampler.evals sampler <= 10 * 2));
     case "shared sampler does not change verdicts" (fun () ->
-      let shared = Sampler.create () in
+      let shared = Lookup_env.sampler () in
       let mk sampler =
-        Monitor.create ?sampler (Parser.property_exn ~name:"v" "always(a || next(b))")
+        Lookup_env.monitor ?sampler (Parser.property_exn ~name:"v" "always(a || next(b))")
       in
       let pooled = List.init 3 (fun _ -> mk (Some shared)) in
       let solo = mk None in
       let drive m =
-        Monitor.step m ~time:0 (env ~a:false ~b:false);
-        Monitor.step m ~time:10 (env ~a:true ~b:false);
-        Monitor.step m ~time:20 (env ~a:false ~b:true)
+        Lookup_env.step m ~time:0 (env ~a:false ~b:false);
+        Lookup_env.step m ~time:10 (env ~a:true ~b:false);
+        Lookup_env.step m ~time:20 (env ~a:false ~b:true)
       in
       List.iter drive pooled;
       drive solo;

@@ -113,7 +113,7 @@ let wrapper_sizing_cases =
         Parser.property_exn ~name:"q3" "always (!ds || nexte[1,170](rdy)) @tb"
       in
       let wrapper =
-        Tabv_checker.Wrapper.attach kernel initiator q3 ~lookup:(fun _ -> None)
+        Tabv_checker.Wrapper.attach kernel initiator q3 ~sampler:(Lookup_env.fixed_sampler (fun _ -> None))
       in
       Alcotest.(check int) "17 slots" 17
         (Tabv_checker.Wrapper.array_size wrapper ~clock_period:10));
@@ -124,7 +124,7 @@ let wrapper_sizing_cases =
         Parser.property_exn ~name:"q" "always (!ds || nexte[1,25](rdy)) @tb"
       in
       let wrapper =
-        Tabv_checker.Wrapper.attach kernel initiator q ~lookup:(fun _ -> None)
+        Tabv_checker.Wrapper.attach kernel initiator q ~sampler:(Lookup_env.fixed_sampler (fun _ -> None))
       in
       Alcotest.(check int) "3 slots" 3
         (Tabv_checker.Wrapper.array_size wrapper ~clock_period:10)) ]

@@ -106,10 +106,11 @@ let e2e_cases =
       in
       let named =
         Tabv_checker.Rtl_checker.attach ~clocks:[ ("clkB", clk_b) ] kernel clk_a
-          property ~lookup
+          property ~sampler:(Lookup_env.fixed_sampler lookup)
       in
       let default =
-        Tabv_checker.Rtl_checker.attach kernel clk_a wrong_clock ~lookup
+        Tabv_checker.Rtl_checker.attach kernel clk_a wrong_clock
+          ~sampler:(Lookup_env.fixed_sampler lookup)
       in
       Kernel.schedule_at kernel ~time:200 (fun () -> Kernel.stop kernel);
       ignore (Kernel.run kernel);
@@ -123,7 +124,7 @@ let e2e_cases =
       let kernel = Kernel.create () in
       let clk = Clock.create kernel ~name:"clk" ~period:10 () in
       let p = Parser.property_exn ~name:"p" "always(a) @nosuch_pos" in
-      match Tabv_checker.Rtl_checker.attach kernel clk p ~lookup:(fun _ -> None) with
+      match Tabv_checker.Rtl_checker.attach kernel clk p ~sampler:(Lookup_env.fixed_sampler (fun _ -> None)) with
       | _ -> Alcotest.fail "expected Invalid_argument"
       | exception Invalid_argument _ -> ()) ]
 
