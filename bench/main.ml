@@ -712,6 +712,15 @@ let trace_section ?(ops_count = 2000) ?(repeat = 5) () =
   let recheck () =
     Tabv_campaign.Recheck.run ~workers:1 ~retries:0 ~trace:trace_path props
   in
+  (* What [tabv record] adds to [tabv check]: the same run with only
+     the writer attached (no in-memory trace), to a file of its own. *)
+  let record_path = Filename.temp_file "tabv_bench" ".trace" in
+  let record () =
+    Tabv_trace.Writer.with_file ~path:record_path meta (fun w ->
+        Tabv_checker.Progression.reset_universe ();
+        Testbench.run_des56_rtl ~gap_cycles ~properties:props ~trace_writer:w
+          ops)
+  in
   let live_report =
     let open Tabv_core.Report_json in
     to_string
@@ -729,11 +738,14 @@ let trace_section ?(ops_count = 2000) ?(repeat = 5) () =
   let identical = String.equal live_report recheck_report in
   let t_live = timed ~repeat live in
   let t_recheck = timed ~repeat recheck in
+  let t_record = timed ~repeat record in
   let speedup = t_live /. t_recheck in
+  let record_overhead_pct = 100.0 *. (t_record -. t_live) /. t_live in
   let trace_bytes = (Unix.stat trace_path).Unix.st_size in
   let vcd_bytes = (Unix.stat vcd_path).Unix.st_size in
   let size_pct = 100.0 *. float_of_int trace_bytes /. float_of_int vcd_bytes in
   Sys.remove trace_path;
+  Sys.remove record_path;
   Sys.remove vcd_path;
   Printf.printf "properties       : %d\n" (List.length props);
   Printf.printf "ops              : %d\n" ops_count;
@@ -741,6 +753,9 @@ let trace_section ?(ops_count = 2000) ?(repeat = 5) () =
   Printf.printf "offline recheck  : %8.3f s\n" t_recheck;
   Printf.printf "speedup          : %8.2fx  (gate: >= %.1fx)\n" speedup
     trace_gate_speedup;
+  Printf.printf "record (writer)  : %8.3f s\n" t_record;
+  Printf.printf "record overhead  : %8.1f%%  (recorded, not gated)\n"
+    record_overhead_pct;
   Printf.printf "trace size       : %8d B\n" trace_bytes;
   Printf.printf "vcd size         : %8d B\n" vcd_bytes;
   Printf.printf "trace/vcd        : %8.2f%%  (gate: <= %.0f%%)\n" size_pct
@@ -755,6 +770,8 @@ let trace_section ?(ops_count = 2000) ?(repeat = 5) () =
         ("seconds_live_check", Float t_live);
         ("seconds_recheck", Float t_recheck);
         ("speedup", Float speedup);
+        ("seconds_record", Float t_record);
+        ("record_overhead_pct", Float record_overhead_pct);
         ("trace_bytes", Int trace_bytes);
         ("vcd_bytes", Int vcd_bytes);
         ("trace_vcd_pct", Float size_pct);

@@ -40,9 +40,11 @@ let io_error ~op ~path error = raise (Io_error { op; path; error })
 let wrap ~op ~path f =
   try f () with Unix.Unix_error (error, _, _) -> io_error ~op ~path error
 
+let buffer_bytes = 8192
+
 let open_file ~op path flags =
   let fd = wrap ~op ~path (fun () -> Unix.openfile path flags 0o644) in
-  { path; fd; buf = Bytes.create 8192; buf_len = 0; offset = 0; closed = false }
+  { path; fd; buf = Bytes.create buffer_bytes; buf_len = 0; offset = 0; closed = false }
 
 let create path =
   open_file ~op:"open" path Unix.[ O_WRONLY; O_CREAT; O_TRUNC ]

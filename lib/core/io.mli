@@ -85,6 +85,10 @@ val path : t -> string
 (** Bytes flushed to the file so far (the hook-visible offset). *)
 val flushed : t -> int
 
+(** Initial capacity of a file's staging buffer (8 KB).  {!write}
+    grows the buffer when the staged bytes would overflow it. *)
+val buffer_bytes : int
+
 (** Stage bytes in the buffer — no syscall, no hook consultation. *)
 val write : t -> string -> unit
 

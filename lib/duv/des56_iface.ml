@@ -47,15 +47,7 @@ let bindings obs =
     ("rdy_next_cycle", Expr.Bool_reader (fun () -> obs.rdy_next_cycle));
     ("rdy_next_next_cycle", Expr.Bool_reader (fun () -> obs.rdy_next_next_cycle)) ]
 
-let env_of obs =
-  [ ("ds", Duv_util.vbool obs.ds);
-    ("decrypt", Duv_util.vbool obs.decrypt_obs);
-    ("key", Duv_util.vdata obs.key_obs);
-    ("indata", Duv_util.vdata obs.indata);
-    ("out", Duv_util.vdata obs.out);
-    ("rdy", Duv_util.vbool obs.rdy);
-    ("rdy_next_cycle", Duv_util.vbool obs.rdy_next_cycle);
-    ("rdy_next_next_cycle", Duv_util.vbool obs.rdy_next_next_cycle) ]
+let env_of obs = Duv_util.env_of_bindings (bindings obs)
 
 type frame = {
   f_ds : bool;

@@ -148,14 +148,6 @@ let bindings t =
     ("rdy_next_cycle", Expr.Bool_reader (fun () -> Signal.observe t.rdy_next_cycle));
     ("rdy_next_next_cycle", Expr.Bool_reader (fun () -> Signal.observe t.rdy_next_next_cycle)) ]
 
-let env t =
-  [ ("ds", Duv_util.vbool (Signal.observe t.ds));
-    ("decrypt", Duv_util.vbool (Signal.observe t.decrypt));
-    ("key", Duv_util.vdata (Signal.observe t.key));
-    ("indata", Duv_util.vdata (Signal.observe t.indata));
-    ("out", Duv_util.vdata (Signal.observe t.out));
-    ("rdy", Duv_util.vbool (Signal.observe t.rdy));
-    ("rdy_next_cycle", Duv_util.vbool (Signal.observe t.rdy_next_cycle));
-    ("rdy_next_next_cycle", Duv_util.vbool (Signal.observe t.rdy_next_next_cycle)) ]
+let env t = Duv_util.env_of_bindings (bindings t)
 
 let completed t = t.completed

@@ -6,7 +6,3 @@ let int_of_data v =
 
 let env_of_bindings bindings =
   List.map (fun (name, reader) -> (name, Tabv_psl.Expr.read reader)) bindings
-
-let vbool b = Tabv_psl.Expr.VBool b
-let vint n = Tabv_psl.Expr.VInt n
-let vdata v = Tabv_psl.Expr.VInt (int_of_data v)

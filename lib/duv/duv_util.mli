@@ -13,7 +13,3 @@ val int_of_data : int64 -> int
     recording). *)
 val env_of_bindings :
   (string * Tabv_psl.Expr.reader) list -> (string * Tabv_psl.Expr.value) list
-
-val vbool : bool -> Tabv_psl.Expr.value
-val vint : int -> Tabv_psl.Expr.value
-val vdata : int64 -> Tabv_psl.Expr.value

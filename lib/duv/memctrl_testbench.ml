@@ -33,13 +33,7 @@ let run_rtl ?(properties = []) ?engine ?sim_engine ?metrics ?trace_writer
     Testbench.attach_pool ?engine kernel (Checker.Attach.clock_edge clock)
       sampler properties
   in
-  Testbench.arm_writer kernel trace_writer;
-  if trace_writer <> None then
-    Process.method_process kernel ~name:"trace_bin" ~initialize:false
-      ~sensitivity:[ Clock.posedge clock ]
-      (fun () ->
-        Testbench.write_sample trace_writer ~time:(Kernel.now kernel)
-          (Memctrl_rtl.env model));
+  Testbench.write_edges kernel clock bindings trace_writer;
   let outputs = ref [] in
   Process.spawn kernel ~name:"driver" (fun () ->
     let negedge = Clock.negedge clock in
@@ -104,11 +98,7 @@ let run_tlm_ca ?(properties = []) ?engine ?sim_engine ?metrics ?trace_writer
       (Checker.Attach.transaction_unabstracted initiator)
       sampler properties
   in
-  Testbench.arm_writer kernel trace_writer;
-  if trace_writer <> None then
-    Tlm.Initiator.on_transaction initiator (fun transaction ->
-      Testbench.write_transaction trace_writer transaction
-        (Memctrl_iface.env_of (Memctrl_tlm_ca.observables model)));
+  Testbench.write_transactions kernel initiator bindings trace_writer;
   let outputs = ref [] in
   Process.spawn kernel ~name:"driver" (fun () ->
     Process.wait_ns kernel period;
@@ -173,11 +163,7 @@ let run_tlm_at ?(properties = []) ?engine ?sim_engine ?metrics ?trace_writer
       (Checker.Attach.transaction initiator)
       sampler properties
   in
-  Testbench.arm_writer kernel trace_writer;
-  if trace_writer <> None then
-    Tlm.Initiator.on_transaction initiator (fun transaction ->
-      Testbench.write_transaction trace_writer transaction
-        (Memctrl_iface.env_of (Memctrl_tlm_at.observables model)));
+  Testbench.write_transactions kernel initiator bindings trace_writer;
   let outputs = ref [] in
   Process.spawn kernel ~name:"driver" (fun () ->
     Process.wait_ns kernel period;

@@ -96,26 +96,30 @@ let metrics_snapshot kernel =
 (* The streaming binary writer taps the exact hooks that feed the
    in-memory Trace_rec recorder (posedge process at RTL, transaction
    completion at TLM), so a stored trace carries the same evaluation
-   points a live checker pool saw.  Disarmed (None) costs nothing; an
-   armed kernel metrics registry additionally publishes the writer's
-   volume counters as pull probes. *)
-let arm_writer kernel = function
+   points a live checker pool saw.  It samples through the model's
+   binding table, the one the checker samplers compile against.
+   Disarmed (None) costs nothing; an armed kernel metrics registry
+   additionally publishes the writer's volume counters as pull
+   probes. *)
+let arm_writer kernel writer bindings =
+  let metrics = Kernel.metrics kernel in
+  if Tabv_obs.Metrics.enabled metrics then begin
+    Tabv_obs.Metrics.probe metrics ~combine:`Sum "trace.samples" (fun () ->
+        Tabv_trace.Writer.samples writer);
+    Tabv_obs.Metrics.probe metrics ~combine:`Sum "trace.spans" (fun () ->
+        Tabv_trace.Writer.spans writer);
+    Tabv_obs.Metrics.probe metrics ~combine:`Sum "trace.bytes" (fun () ->
+        Tabv_trace.Writer.bytes_written writer)
+  end;
+  Tabv_trace.Writer.bind writer bindings
+
+let write_edges kernel clock bindings = function
   | None -> ()
   | Some writer ->
-    let metrics = Kernel.metrics kernel in
-    if Tabv_obs.Metrics.enabled metrics then begin
-      Tabv_obs.Metrics.probe metrics ~combine:`Sum "trace.samples" (fun () ->
-          Tabv_trace.Writer.samples writer);
-      Tabv_obs.Metrics.probe metrics ~combine:`Sum "trace.spans" (fun () ->
-          Tabv_trace.Writer.spans writer);
-      Tabv_obs.Metrics.probe metrics ~combine:`Sum "trace.bytes" (fun () ->
-          Tabv_trace.Writer.bytes_written writer)
-    end
-
-let write_sample writer ~time env =
-  match writer with
-  | None -> ()
-  | Some w -> Tabv_trace.Writer.sample w ~time env
+    let record = arm_writer kernel writer bindings in
+    Process.method_process kernel ~name:"trace_bin" ~initialize:false
+      ~sensitivity:[ Clock.posedge clock ]
+      (fun () -> record ~time:(Kernel.now kernel))
 
 let span_label transaction =
   match transaction.Tlm.payload.Tlm.command with
@@ -124,14 +128,15 @@ let span_label transaction =
 
 (* Sample at the transaction end (last-wins within an instant, exactly
    like the Trace_rec hook) and record the begin/end span. *)
-let write_transaction writer transaction env =
-  match writer with
+let write_transactions kernel initiator bindings = function
   | None -> ()
-  | Some w ->
-    Tabv_trace.Writer.sample w ~time:transaction.Tlm.end_time env;
-    Tabv_trace.Writer.span w ~label:(span_label transaction)
-      ~start_time:transaction.Tlm.start_time
-      ~end_time:transaction.Tlm.end_time
+  | Some writer ->
+    let record = arm_writer kernel writer bindings in
+    Tlm.Initiator.on_transaction initiator (fun transaction ->
+      record ~time:transaction.Tlm.end_time;
+      Tabv_trace.Writer.span writer ~label:(span_label transaction)
+        ~start_time:transaction.Tlm.start_time
+        ~end_time:transaction.Tlm.end_time)
 
 (* --- fault-plan plumbing -------------------------------------------- *)
 
@@ -172,12 +177,7 @@ let run_des56_rtl ?(properties = []) ?engine ?sim_engine ?metrics ?(record_trace
     Process.method_process kernel ~name:"trace" ~initialize:false
       ~sensitivity:[ Clock.posedge clock ]
       (fun () -> Trace_rec.sample recorder ~time:(Kernel.now kernel) (Des56_rtl.env model));
-  arm_writer kernel trace_writer;
-  if trace_writer <> None then
-    Process.method_process kernel ~name:"trace_bin" ~initialize:false
-      ~sensitivity:[ Clock.posedge clock ]
-      (fun () ->
-        write_sample trace_writer ~time:(Kernel.now kernel) (Des56_rtl.env model));
+  write_edges kernel clock bindings trace_writer;
   let outputs = ref [] in
   Process.method_process kernel ~name:"collect" ~initialize:false
     ~sensitivity:[ Clock.posedge clock ]
@@ -238,11 +238,7 @@ let run_des56_tlm_ca ?(properties = []) ?engine ?sim_engine ?metrics ?(record_tr
     Tlm.Initiator.on_transaction initiator (fun transaction ->
       Trace_rec.sample recorder ~time:transaction.Tlm.end_time
         (Des56_iface.env_of (Des56_tlm_ca.observables model)));
-  arm_writer kernel trace_writer;
-  if trace_writer <> None then
-    Tlm.Initiator.on_transaction initiator (fun transaction ->
-      write_transaction trace_writer transaction
-        (Des56_iface.env_of (Des56_tlm_ca.observables model)));
+  write_transactions kernel initiator bindings trace_writer;
   let sampler = pool_sampler kernel bindings in
   let checkers =
     attach_pool ?engine kernel
@@ -317,11 +313,7 @@ let run_des56_tlm_at ?(properties = []) ?(grid_properties = []) ?engine ?sim_eng
     Tlm.Initiator.on_transaction initiator (fun transaction ->
       Trace_rec.sample recorder ~time:transaction.Tlm.end_time
         (Des56_iface.env_of (Des56_tlm_at.observables model)));
-  arm_writer kernel trace_writer;
-  if trace_writer <> None then
-    Tlm.Initiator.on_transaction initiator (fun transaction ->
-      write_transaction trace_writer transaction
-        (Des56_iface.env_of (Des56_tlm_at.observables model)));
+  write_transactions kernel initiator bindings trace_writer;
   (* Strict wrappers sample in the deferred-delta phase of transaction
      instants; grid wrappers sample on the clock grid.  The two pools
      observe different instants, so each gets its own shared sampler. *)
@@ -462,13 +454,7 @@ let run_colorconv_rtl ?(properties = []) ?engine ?sim_engine ?metrics ?(record_t
       ~sensitivity:[ Clock.posedge clock ]
       (fun () ->
         Trace_rec.sample recorder ~time:(Kernel.now kernel) (Colorconv_rtl.env model));
-  arm_writer kernel trace_writer;
-  if trace_writer <> None then
-    Process.method_process kernel ~name:"trace_bin" ~initialize:false
-      ~sensitivity:[ Clock.posedge clock ]
-      (fun () ->
-        write_sample trace_writer ~time:(Kernel.now kernel)
-          (Colorconv_rtl.env model));
+  write_edges kernel clock bindings trace_writer;
   let outputs = ref [] in
   Process.method_process kernel ~name:"collect" ~initialize:false
     ~sensitivity:[ Clock.posedge clock ]
@@ -538,11 +524,7 @@ let run_colorconv_tlm_ca ?(properties = []) ?engine ?sim_engine ?metrics
     Tlm.Initiator.on_transaction initiator (fun transaction ->
       Trace_rec.sample recorder ~time:transaction.Tlm.end_time
         (Colorconv_iface.env_of (Colorconv_tlm_ca.observables model)));
-  arm_writer kernel trace_writer;
-  if trace_writer <> None then
-    Tlm.Initiator.on_transaction initiator (fun transaction ->
-      write_transaction trace_writer transaction
-        (Colorconv_iface.env_of (Colorconv_tlm_ca.observables model)));
+  write_transactions kernel initiator bindings trace_writer;
   let sampler = pool_sampler kernel bindings in
   let checkers =
     attach_pool ?engine kernel
@@ -640,11 +622,7 @@ let run_colorconv_tlm_at ?(properties = []) ?(grid_properties = []) ?engine ?sim
     Tlm.Initiator.on_transaction initiator (fun transaction ->
       Trace_rec.sample recorder ~time:transaction.Tlm.end_time
         (Colorconv_iface.env_of (Colorconv_tlm_at.observables model)));
-  arm_writer kernel trace_writer;
-  if trace_writer <> None then
-    Tlm.Initiator.on_transaction initiator (fun transaction ->
-      write_transaction trace_writer transaction
-        (Colorconv_iface.env_of (Colorconv_tlm_at.observables model)));
+  write_transactions kernel initiator bindings trace_writer;
   let sampler = pool_sampler kernel bindings in
   let grid_sampler = pool_sampler kernel bindings in
   let checkers =

@@ -112,25 +112,27 @@ val metrics_snapshot :
     as the in-memory recorder; disarmed runs pay nothing.  These
     helpers are shared with the sibling testbenches. *)
 
-(** Publish a writer's volume counters ([trace.samples]/[trace.spans]/
-    [trace.bytes]) as pull probes when the kernel's registry is armed;
-    no-op for [None] or a disabled registry. *)
-val arm_writer : Tabv_sim.Kernel.t -> Tabv_trace.Writer.t option -> unit
-
-(** Feed one evaluation point to an optional writer. *)
-val write_sample :
+(** [write_edges kernel clock bindings writer] taps an optional
+    writer onto a clocked model: one sample of [bindings] per rising
+    edge of [clock], read straight from the binding table
+    ({!Tabv_trace.Writer.bind}).  An armed kernel registry also
+    publishes the writer's volume counters ([trace.samples]/
+    [trace.spans]/[trace.bytes]) as pull probes.  No-op for [None]. *)
+val write_edges :
+  Tabv_sim.Kernel.t ->
+  Tabv_sim.Clock.t ->
+  (string * Expr.reader) list ->
   Tabv_trace.Writer.t option ->
-  time:int ->
-  (string * Expr.value) list ->
   unit
 
-(** Feed one completed transaction to an optional writer: a sample at
-    the transaction end (last-wins within an instant) plus a
+(** As {!write_edges} for a TLM initiator: per completed transaction,
+    a sample at its end instant (last-wins within an instant) plus a
     begin/end span labelled by the TLM command. *)
-val write_transaction :
+val write_transactions :
+  Tabv_sim.Kernel.t ->
+  Tabv_sim.Tlm.Initiator.t ->
+  (string * Expr.reader) list ->
   Tabv_trace.Writer.t option ->
-  Tabv_sim.Tlm.transaction ->
-  (string * Expr.value) list ->
   unit
 
 (** Compile an optional fault plan onto a design binding; [None] or an

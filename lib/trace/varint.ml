@@ -1,18 +1,23 @@
 exception Corrupt of string
 
-let rec write_uint buf v =
+let max_bytes = 9
+
+let rec put_uint b pos v =
   let low = v land 0x7f in
   (* [lsr] is a logical shift, so a negative int drains to 0 after at
      most 9 rounds instead of looping on sign bits. *)
   let rest = v lsr 7 in
-  if rest = 0 then Buffer.add_char buf (Char.chr low)
+  if rest = 0 then begin
+    Bytes.set b pos (Char.unsafe_chr low);
+    pos + 1
+  end
   else begin
-    Buffer.add_char buf (Char.chr (low lor 0x80));
-    write_uint buf rest
+    Bytes.set b pos (Char.unsafe_chr (low lor 0x80));
+    put_uint b (pos + 1) rest
   end
 
-let write_zigzag buf v =
-  write_uint buf ((v lsl 1) lxor (v asr (Sys.int_size - 1)))
+let put_zigzag b pos v =
+  put_uint b pos ((v lsl 1) lxor (v asr (Sys.int_size - 1)))
 
 (* Raw decode of the full 63-bit pattern: the 9th byte (shift 56)
    carries bits 56..62, so bit 6 of that byte lands on the OCaml int

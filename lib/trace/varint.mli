@@ -8,8 +8,15 @@
 
 exception Corrupt of string
 
-val write_uint : Buffer.t -> int -> unit
-val write_zigzag : Buffer.t -> int -> unit
+(** Longest encoding of either kind, in bytes (9). *)
+val max_bytes : int
+
+(** [put_uint b pos v] writes [v] into [b] at [pos] and returns the
+    position just after it.
+    @raise Invalid_argument when [b] ends first. *)
+val put_uint : Bytes.t -> int -> int -> int
+
+val put_zigzag : Bytes.t -> int -> int -> int
 
 (** [read_uint next] pulls bytes from [next] (which raises
     [End_of_file] when exhausted).

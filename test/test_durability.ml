@@ -545,7 +545,74 @@ let trace_sweep_cases =
                 Alcotest.failf "flip at %d surfaced out-of-prefix entries" i
           done)) ]
 
+(* --- traces under injected filesystem faults ---------------------- *)
+
+(* One flush carries many trace blocks, so a fault tears a chunk of
+   records at once.  A recording that hits one must surface the IO
+   error, release its descriptor, and leave a file whose verified
+   prefix covers the chunks flushed before the fault (plus any whole
+   blocks of a torn chunk) — a prefix of the clean recording's
+   entries. *)
+
+let open_fds () = Array.length (Sys.readdir "/proc/self/fd")
+
+let fault_ops = Tabv_duv.Workload.des56 ~seed:9 ~count:200 ()
+
+let record_fault_run path =
+  Writer.with_file ~path trace_meta (fun w ->
+      ignore (Tabv_duv.Testbench.run_des56_rtl ~trace_writer:w fault_ops))
+
+let trace_fault_case name fault ~error ~prefix =
+  case name (fun () ->
+      with_temp_dir (fun dir ->
+        let clean_path = Filename.concat dir "clean.trace" in
+        record_fault_run clean_path;
+        let clean, clean_err = drain clean_path in
+        Alcotest.(check bool) "clean recording reads clean" true
+          (clean_err = None);
+        let path = Filename.concat dir "run.trace" in
+        let armed = FIo.arm (FIo.plan ~name ~scope:".trace" [ fault ]) in
+        let fds = open_fds () in
+        FIo.install armed;
+        Fun.protect ~finally:FIo.uninstall (fun () ->
+            match record_fault_run path with
+            | () -> Alcotest.fail "the recording reported success"
+            | exception Io.Io_error { error = e; _ } ->
+              Alcotest.(check bool) "the injected error surfaces" true
+                (e = error));
+        Alcotest.(check bool) "the fault fired" true (FIo.io_triggered armed > 0);
+        Alcotest.(check int) "descriptor released" fds (open_fds ());
+        match drain path with
+        | _, None -> Alcotest.fail "a faulted trace read as complete"
+        | entries, Some (_, valid_prefix) ->
+          let flushed, torn = prefix (FIo.write_boundaries armed path) in
+          if valid_prefix < flushed || valid_prefix > torn then
+            Alcotest.failf "verified prefix %d outside [%d, %d]" valid_prefix
+              flushed torn;
+          Alcotest.(check bool) "flushed records salvaged" true (entries <> []);
+          Alcotest.(check bool) "entries are a prefix of the clean run" true
+            (is_prefix entries clean)))
+
+(* [prefix] maps the chunk boundaries the plan let through to the
+   range the verified prefix must fall in: from the chunks flushed
+   whole to the bytes that reached the file.  Write op 2 is the third
+   flushed chunk. *)
+let trace_fault_cases =
+  let last = List.fold_left max 0 in
+  [ trace_fault_case "a short write tears a trace to its flushed chunks"
+      (FIo.Short_write { op = 2; keep = 3 })
+      ~error:Unix.ENOSPC
+      ~prefix:(fun b -> (List.nth b 1, List.nth b 1 + 3));
+    trace_fault_case "a full disk tears a trace to its flushed blocks"
+      (FIo.Enospc_after { bytes = 20_000 })
+      ~error:Unix.ENOSPC
+      ~prefix:(fun b -> (last b, 20_000));
+    trace_fault_case "a power cut tears a trace to its flushed chunks"
+      (FIo.Power_cut { op = 2 })
+      ~error:Unix.EIO
+      ~prefix:(fun b -> (last b, last b)) ]
+
 let suite =
   ( "durability",
     crc_cases @ io_cases @ fault_io_cases @ journal_fault_cases
-    @ journal_sweep_cases @ trace_sweep_cases )
+    @ journal_sweep_cases @ trace_sweep_cases @ trace_fault_cases )

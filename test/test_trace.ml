@@ -160,6 +160,262 @@ let roundtrip_cases =
            | exception Invalid_argument _ -> ());
           Writer.close w)) ]
 
+(* --- negative first time ------------------------------------------ *)
+
+let refused_with message f =
+  match f () with
+  | () -> Alcotest.failf "accepted (expected %S)" message
+  | exception Invalid_argument got ->
+    Alcotest.(check string) "refusal message" message got
+
+let negative_time_cases =
+  [ case "a negative first time is refused at its call, then a sample"
+      (fun () ->
+        with_temp (fun path ->
+            let w = Writer.create ~path meta in
+            refused_with "Trace writer: negative time" (fun () ->
+                Writer.sample w ~time:(-1) [ ("x", Expr.VBool true) ]);
+            Writer.sample w ~time:5 [ ("x", Expr.VInt 3) ];
+            Writer.close w;
+            let samples, _ = read_streams path in
+            Alcotest.(check bool) "only the accepted sample" true
+              (samples = [ (5, [ ("x", Expr.VInt 3) ]) ])));
+    case "a negative first time is refused at its call, then close"
+      (fun () ->
+        with_temp (fun path ->
+            (* The refusal leaves nothing pending, so closing (here by
+               [with_file]) neither raises nor wraps anything. *)
+            Writer.with_file ~path meta (fun w ->
+                refused_with "Trace writer: negative time" (fun () ->
+                    Writer.sample w ~time:(-1) [ ("x", Expr.VBool true) ]));
+            Alcotest.(check bool) "an empty, complete trace" true
+              (read_streams path = ([], []));
+            (* Escaping [with_file], the refusal surfaces as itself. *)
+            refused_with "Trace writer: negative time" (fun () ->
+                Writer.with_file ~path meta (fun w ->
+                    Writer.sample w ~time:(-1) [ ("x", Expr.VBool true) ]));
+            Alcotest.(check bool) "still an empty, complete trace" true
+              (read_streams path = ([], []))));
+    case "the bound front-end refuses a negative first time too" (fun () ->
+      with_temp (fun path ->
+          Writer.with_file ~path meta (fun w ->
+              let record =
+                Writer.bind w [ ("x", Expr.Bool_reader (fun () -> true)) ]
+              in
+              refused_with "Trace writer: negative time" (fun () ->
+                  record ~time:(-1));
+              record ~time:0);
+          let samples, _ = read_streams path in
+          Alcotest.(check bool) "only the accepted sample" true
+            (samples = [ (0, [ ("x", Expr.VBool true) ]) ]))) ]
+
+(* --- the two front-ends ------------------------------------------- *)
+
+(* How a generated signal is read on the bound side: the typed readers
+   of a DUV binding table, or a [Value_reader] whose value carries its
+   own (possibly changing) kind. *)
+type signal_kind = Bool_signal | Int_signal | Value_bool | Value_int
+
+type step =
+  | Sample_at of int * Expr.value array  (* time delta (0 = same instant) *)
+  | Flip_at of int * int  (* a sample where value signal [i] flips kind *)
+  | Span_of of string * int * int
+
+type script = { kinds : signal_kind array; t0 : int; steps : step list }
+
+let gen_script =
+  let open QCheck.Gen in
+  let* n = int_range 1 6 in
+  let* kinds =
+    array_repeat n (oneofl [ Bool_signal; Int_signal; Value_bool; Value_int ])
+  in
+  let gen_value = function
+    | Bool_signal | Value_bool -> map (fun b -> Expr.VBool b) bool
+    | Int_signal | Value_int ->
+      oneof
+        [ map (fun v -> Expr.VInt v) (int_range (-300) 300);
+          oneofl [ Expr.VInt max_int; Expr.VInt min_int ] ]
+  in
+  let gen_values = flatten_a (Array.map gen_value kinds) in
+  let gen_delta = frequency [ (2, return 0); (1, return (-1)); (6, int_range 1 40) ] in
+  let gen_step =
+    frequency
+      [ (8, map2 (fun d v -> Sample_at (d, v)) gen_delta gen_values);
+        (1, map2 (fun d i -> Flip_at (d, i)) gen_delta (int_range 0 (n - 1)));
+        ( 3,
+          map3
+            (fun label start dur -> Span_of (label, start, start + dur))
+            (oneofl [ "read"; "write"; "burst" ])
+            (int_range 0 500) (int_range (-2) 60) ) ]
+  in
+  let* t0 = int_range (-2) 30 in
+  let* steps = list_size (int_range 0 60) gen_step in
+  return { kinds; t0; steps }
+
+let arb_script =
+  QCheck.make
+    ~print:(fun s ->
+      Printf.sprintf "%d signals, t0 %d, %d steps" (Array.length s.kinds) s.t0
+        (List.length s.steps))
+    gen_script
+
+let flip = function
+  | Expr.VBool b -> Expr.VInt (Bool.to_int b)
+  | Expr.VInt v -> Expr.VBool (v <> 0)
+
+(* Play [s] through one front-end; every call's outcome (accepted or
+   its refusal message) is logged, so the two logs must match too. *)
+let play ~bound path s =
+  let n = Array.length s.kinds in
+  let current = Array.map (function
+      | Bool_signal | Value_bool -> Expr.VBool false
+      | Int_signal | Value_int -> Expr.VInt 0) s.kinds
+  in
+  let bindings =
+    List.init n (fun i ->
+        let name = Printf.sprintf "s%d" i in
+        ( name,
+          match s.kinds.(i) with
+          | Bool_signal ->
+            Expr.Bool_reader
+              (fun () ->
+                match current.(i) with
+                | Expr.VBool b -> b
+                | Expr.VInt _ -> assert false)
+          | Int_signal ->
+            Expr.Int_reader
+              (fun () ->
+                match current.(i) with
+                | Expr.VInt v -> v
+                | Expr.VBool _ -> assert false)
+          | Value_bool | Value_int -> Expr.Value_reader (fun () -> current.(i)) ))
+  in
+  let log = ref [] in
+  let outcome f =
+    log :=
+      (match f () with
+       | () -> "ok"
+       | exception Invalid_argument msg -> msg)
+      :: !log
+  in
+  let w = Writer.create ~path meta in
+  let record = Writer.bind w bindings in
+  let now = ref s.t0 in
+  let sample_at delta =
+    let time = !now + delta in
+    outcome (fun () ->
+        if bound then record ~time
+        else
+          Writer.sample w ~time
+            (List.map (fun (name, r) -> (name, Expr.read r)) bindings);
+        now := time)
+  in
+  List.iter
+    (function
+      | Sample_at (delta, values) ->
+        Array.blit values 0 current 0 n;
+        sample_at delta
+      | Flip_at (delta, i) -> (
+        match s.kinds.(i) with
+        | Value_bool | Value_int ->
+          let kept = current.(i) in
+          current.(i) <- flip kept;
+          sample_at delta;
+          current.(i) <- kept
+        | Bool_signal | Int_signal -> ())
+      | Span_of (label, start_time, end_time) ->
+        outcome (fun () -> Writer.span w ~label ~start_time ~end_time))
+    s.steps;
+  Writer.close w;
+  (List.rev !log, Writer.samples w, Writer.spans w, Writer.bytes_written w)
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+(* Rewrite a decoded trace through the env-list front-end so that every
+   block lands where the recording put it: a sample's block is written
+   when the next sample arrives, so each sample entry is produced by
+   feeding the one after it (the first is fed up front, the last by
+   [close]). *)
+let rewrite ~path meta entries =
+  let upcoming =
+    ref
+      (List.filter_map
+         (function
+           | Entry.Sample { time; env } -> Some (time, env)
+           | Entry.Span _ -> None)
+         entries)
+  in
+  Writer.with_file ~path meta (fun w ->
+      let feed () =
+        match !upcoming with
+        | (time, env) :: rest ->
+          upcoming := rest;
+          Writer.sample w ~time env
+        | [] -> ()
+      in
+      feed ();
+      List.iter
+        (function
+          | Entry.Sample _ -> feed ()
+          | Entry.Span { label; start_time; end_time } ->
+            Writer.span w ~label ~start_time ~end_time)
+        entries)
+
+let front_end_cases =
+  [ Helpers.qtest ~count:300 "bound and env-list front-ends write the same file"
+      arb_script
+      (fun s ->
+        with_temp (fun env_path ->
+            with_temp (fun bound_path ->
+                let env_run = play ~bound:false env_path s in
+                let bound_run = play ~bound:true bound_path s in
+                env_run = bound_run
+                && String.equal (read_file env_path) (read_file bound_path))));
+    case "a Value_reader changing kind is refused with the env-list message"
+      (fun () ->
+        with_temp (fun path ->
+            let v = ref (Expr.VInt 1) in
+            Writer.with_file ~path meta (fun w ->
+                let record = Writer.bind w [ ("x", Expr.Value_reader (fun () -> !v)) ] in
+                record ~time:0;
+                v := Expr.VBool true;
+                refused_with "Trace writer: signal \"x\" changed kind" (fun () ->
+                    record ~time:10);
+                refused_with "Trace writer: signal \"x\" changed kind" (fun () ->
+                    Writer.sample w ~time:10 [ ("x", !v) ]);
+                v := Expr.VInt 2;
+                record ~time:10);
+            let samples, _ = read_streams path in
+            Alcotest.(check bool) "refused samples left no trace" true
+              (samples = [ (0, [ ("x", Expr.VInt 1) ]); (10, [ ("x", Expr.VInt 2) ]) ])));
+    case "shipped models: the bound recording equals its env-list rewrite"
+      (fun () ->
+        List.iter
+          (fun (name, model) ->
+            if Tabv_duv.Models.supports_trace model then
+              with_temp (fun recorded ->
+                  with_temp (fun rewritten ->
+                      let run_meta =
+                        { Meta.model = name; seed = 3; ops = 12; engine = "classic" }
+                      in
+                      let properties, grid_properties =
+                        Tabv_duv.Models.properties_for model None
+                      in
+                      Writer.with_file ~path:recorded run_meta (fun w ->
+                          ignore
+                            (Tabv_duv.Models.run ~trace_writer:w model ~seed:3
+                               ~ops:12 ~properties ~grid_properties));
+                      let entries =
+                        Reader.with_file recorded (fun r ->
+                            List.of_seq (Reader.to_seq r))
+                      in
+                      rewrite ~path:rewritten run_meta entries;
+                      if
+                        not
+                          (String.equal (read_file recorded) (read_file rewritten))
+                      then Alcotest.failf "%s: rewrite differs from the recording" name)))
+          Tabv_duv.Models.names) ]
+
 (* --- damaged files ------------------------------------------------ *)
 
 let read_all path =
@@ -233,17 +489,17 @@ let corrupt_cases =
        | exception Varint.Corrupt _ -> ());
       (* The zigzag side still spans the full signed range (bit 62 is
          a legitimate zigzag payload bit), and max uint round-trips. *)
+      let encode put v =
+        let b = Bytes.create Varint.max_bytes in
+        Bytes.sub_string b 0 (put b 0 v)
+      in
       List.iter
         (fun v ->
-          let buf = Buffer.create 16 in
-          Varint.write_zigzag buf v;
           Alcotest.(check int) "zigzag round trip" v
-            (Varint.read_zigzag (next_of (Buffer.contents buf))))
+            (Varint.read_zigzag (next_of (encode Varint.put_zigzag v))))
         [ min_int; max_int; -1; 0; 1 ];
-      let buf = Buffer.create 16 in
-      Varint.write_uint buf max_int;
       Alcotest.(check int) "max uint round trip" max_int
-        (Varint.read_uint (next_of (Buffer.contents buf)))) ]
+        (Varint.read_uint (next_of (encode Varint.put_uint max_int)))) ]
 
 (* --- the offline checker API -------------------------------------- *)
 
@@ -433,5 +689,5 @@ let memory_cases =
 
 let suite =
   ( "trace",
-    roundtrip_cases @ corrupt_cases @ offline_cases @ recheck_cases
+    roundtrip_cases @ negative_time_cases @ front_end_cases @ corrupt_cases @ offline_cases @ recheck_cases
     @ memory_cases )
