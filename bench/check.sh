@@ -41,15 +41,7 @@
 #                         writes BENCH_isolate_overhead.json, and
 #                         FAILS if process isolation costs more than
 #                         1.5x the in-domain pool)
-#   9. bench/main.exe --quick --sched-only
-#                        (times a scheduling-dense netlist under the
-#                         classic and compiled kernel engines, asserts
-#                         byte-identical metrics documents on the
-#                         cache-bench workload, writes
-#                         BENCH_sched_speedup.json, and FAILS if the
-#                         compiled engine is below the 3x speedup
-#                         floor)
-#  10. bench/main.exe --quick --trace-only
+#   9. bench/main.exe --quick --trace-only
 #                        (records one des56-rtl run to a compact binary
 #                         trace, times live check vs offline recheck on
 #                         a 10-property invariant set, asserts the two
@@ -57,7 +49,7 @@
 #                         BENCH_trace_recheck.json, and FAILS if the
 #                         recheck is below the 5x speedup floor or the
 #                         trace exceeds 20% of the equivalent VCD)
-#  11. bench/main.exe --quick --serve-only
+#  10. bench/main.exe --quick --serve-only
 #                        (boots a tabv-serve daemon with a warm worker
 #                         pool, drives it with 8 concurrent clients
 #                         through cold, warm and mixed check/recheck
@@ -66,7 +58,7 @@
 #                         BENCH_serve_throughput.json, and FAILS below
 #                         the 5 req/s throughput floor or the 2x
 #                         warm-replay speedup gate)
-#  12. bench/main.exe --quick --chaos-only
+#  11. bench/main.exe --quick --chaos-only
 #                        (boots a tabv-serve daemon and soaks it with 8
 #                         clients, each with a seeded wire-fault plan
 #                         interposed -- torn frames, truncated and
@@ -81,7 +73,7 @@
 #                         FAILS if anything leaks or the armed-but-idle
 #                         cost of the net-fault hook exceeds 2% and
 #                         20 us absolute)
-#  13. bench/main.exe --quick --durability-only
+#  12. bench/main.exe --quick --durability-only
 #                        (runs a journaled campaign under the Fault.Io
 #                         observer to enumerate every durable write
 #                         boundary, truncates the journal at each one
@@ -95,7 +87,7 @@
 #                         FAILS on any mismatch, debris, or if the
 #                         hookless IO seam costs more than 2% over a
 #                         raw fsynced append loop)
-#  14. python3 perfbench/run.py --workload record-recheck --seed 1
+#  13. python3 perfbench/run.py --workload record-recheck --seed 1
 #        --seconds 5 --trace 0
 #                        (end-to-end correctness smoke test: records
 #                         every shipped model with a trace writer
@@ -135,9 +127,6 @@ dune exec bench/main.exe -- --quick --fault-only
 
 echo "== subprocess isolation overhead gate (<= 1.5x in-domain)"
 dune exec bench/main.exe -- --quick --isolate-only
-
-echo "== compiled scheduler gate (>= 3x on the scheduling-dense netlist)"
-dune exec bench/main.exe -- --quick --sched-only
 
 echo "== trace recheck gate (>= 5x, <= 20% of VCD)"
 dune exec bench/main.exe -- --quick --trace-only

@@ -859,157 +859,6 @@ let fault_overhead_section ?(ops_count = 2000) ?(repeat = 9) () =
     overhead_pct;
   (overhead_pct, unperturbed)
 
-(* --- Compiled scheduler: static schedule vs dynamic reference ------- *)
-
-(* The compiled engine replaces the dynamic kernel's queue-of-closures
-   scheduling (a heap cell per scheduled action, a closure allocation
-   per signal update, a [List.rev] per event fire and per update
-   phase) with levelized vector queues over a dense signal arena.  Two
-   gates:
-
-   - identity: the cache-bench workload (DES56 seed 42, all nine
-     checkers, full metrics) must produce byte-identical observability
-     documents on both engines — the refactor's correctness contract;
-   - speed: a scheduling-dense netlist — hundreds of clocked processes
-     with trivial bodies, so event fan-out and dispatch are the whole
-     cost — must run at least [sched_gate]x faster compiled than
-     classic.  The classic path pays a [List.rev] cons plus a queue
-     cell per subscriber per fire and a closure per update request;
-     the compiled path pushes one fused activation block per fire into
-     a preallocated vector.  A register-toggle variant (every process
-     also drives signals, whose update semantics cost the same on both
-     engines) and the des56-rtl end-to-end run are recorded for
-     context, not gated. *)
-
-let sched_gate = 3.0
-
-let sched_netlist kernel ~procs ~writes =
-  let open Tabv_sim in
-  let el = Elab.create kernel in
-  let clock = Clock.create kernel ~name:"clk" ~period:10 () in
-  for p = 0 to procs - 1 do
-    let mine =
-      Array.init writes (fun w -> Elab.signal_bool el (Printf.sprintf "o_%d_%d" p w))
-    in
-    let packs = Array.to_list (Array.map (fun s -> Elab.Pack s) mine) in
-    (* [writes = 0] leaves the body trivial: the run is pure event
-       fan-out and process dispatch, the machinery under test. *)
-    Elab.process el ~name:(Printf.sprintf "reg%d" p) ~pos:__POS__
-      ~initialize:false
-      ~sensitivity:[ Clock.posedge clock ]
-      ~reads:packs ~writes:packs
-      (fun () ->
-        for w = 0 to writes - 1 do
-          Signal.write mine.(w) (not (Signal.read mine.(w)))
-        done)
-  done;
-  el
-
-let sched_run engine ~procs ~writes ~cycles =
-  let open Tabv_sim in
-  let kernel = Kernel.create ~engine () in
-  ignore (sched_netlist kernel ~procs ~writes);
-  ignore (Kernel.run ~until:(cycles * 10) kernel);
-  ( Kernel.activation_count kernel,
-    Kernel.delta_count kernel,
-    Kernel.update_action_count kernel,
-    Kernel.now kernel )
-
-let sched_section ?(procs = 512) ?(writes = 4) ?(cycles = 2_000) ?(ops_count = 1000)
-    () =
-  let open Tabv_sim in
-  print_endline "=== Compiled scheduler: levelized static schedule vs classic ===";
-  (* Correctness before speed: identical counters on both synthetic
-     netlists, byte-identical metrics documents on the cache-bench
-     workload. *)
-  List.iter
-    (fun writes ->
-      let counters_classic = sched_run Kernel.Classic ~procs ~writes ~cycles in
-      let counters_compiled = sched_run Kernel.Compiled ~procs ~writes ~cycles in
-      if counters_classic <> counters_compiled then
-        failwith "sched: engines disagree on kernel counters")
-    [ 0; writes ];
-  let ops = Workload.des56 ~seed:42 ~count:ops_count () in
-  let cache_doc engine =
-    Tabv_checker.Progression.reset_universe ();
-    let metrics = Tabv_obs.Metrics.create ~enabled:true () in
-    Tabv_core.Report_json.to_string
-      (Testbench.metrics_json
-         (Testbench.run_des56_rtl ~metrics ~sim_engine:engine
-            ~properties:Des56_props.all ops))
-  in
-  let identical = cache_doc Kernel.Classic = cache_doc Kernel.Compiled in
-  if not identical then
-    failwith "sched: cache-bench metrics documents differ between engines";
-  let t_classic =
-    timed (fun () -> sched_run Kernel.Classic ~procs ~writes:0 ~cycles)
-  in
-  let t_compiled =
-    timed (fun () -> sched_run Kernel.Compiled ~procs ~writes:0 ~cycles)
-  in
-  let speedup = t_classic /. t_compiled in
-  let t_reg_classic =
-    timed (fun () -> sched_run Kernel.Classic ~procs ~writes ~cycles)
-  in
-  let t_reg_compiled =
-    timed (fun () -> sched_run Kernel.Compiled ~procs ~writes ~cycles)
-  in
-  let reg_ratio = t_reg_classic /. t_reg_compiled in
-  let t_duv_classic =
-    timed (fun () -> Testbench.run_des56_rtl ~sim_engine:Kernel.Classic ops)
-  in
-  let t_duv_compiled =
-    timed (fun () -> Testbench.run_des56_rtl ~sim_engine:Kernel.Compiled ops)
-  in
-  let duv_ratio = t_duv_classic /. t_duv_compiled in
-  Printf.printf
-    "fan-out netlist (%d procs, %d cycles): classic %.3fs, compiled %.3fs, \
-     speedup %.2fx\n"
-    procs cycles t_classic t_compiled speedup;
-  Printf.printf
-    "register netlist (%d procs x %d signals, signal-bound, not gated): \
-     classic %.3fs, compiled %.3fs, ratio %.2fx\n"
-    procs writes t_reg_classic t_reg_compiled reg_ratio;
-  Printf.printf
-    "des56-rtl end-to-end (%d ops, body-bound, not gated): classic %.3fs, \
-     compiled %.3fs, ratio %.2fx\n"
-    ops_count t_duv_classic t_duv_compiled duv_ratio;
-  Printf.printf "metrics documents byte-identical across engines: %b\n" identical;
-  let open Tabv_core.Report_json in
-  let json =
-    Assoc
-      [ ("benchmark", String "sched_speedup");
-        ( "fanout_netlist",
-          Assoc
-            [ ("processes", Int procs);
-              ("cycles", Int cycles);
-              ("classic_seconds", Float t_classic);
-              ("compiled_seconds", Float t_compiled);
-              ("speedup", Float speedup) ] );
-        ( "register_netlist",
-          Assoc
-            [ ("processes", Int procs);
-              ("writes_per_process", Int writes);
-              ("cycles", Int cycles);
-              ("classic_seconds", Float t_reg_classic);
-              ("compiled_seconds", Float t_reg_compiled);
-              ("speedup", Float reg_ratio) ] );
-        ( "cache_bench",
-          Assoc
-            [ ("des56_ops", Int ops_count);
-              ("metrics_byte_identical", Bool identical);
-              ("classic_seconds", Float t_duv_classic);
-              ("compiled_seconds", Float t_duv_compiled);
-              ("speedup", Float duv_ratio) ] );
-        ("gate", Float sched_gate) ]
-  in
-  Out_channel.with_open_text "BENCH_sched_speedup.json" (fun oc ->
-    Out_channel.output_string oc (to_string json);
-    Out_channel.output_char oc '\n');
-  Printf.printf "wrote BENCH_sched_speedup.json (fan-out netlist speedup %.2fx)\n\n"
-    speedup;
-  (speedup, identical)
-
 (* --- Bechamel micro-benchmarks ------------------------------------ *)
 
 let bechamel_section () =
@@ -1827,7 +1676,6 @@ let () =
   let campaign_only = Array.exists (fun a -> a = "--campaign-only") Sys.argv in
   let isolate_only = Array.exists (fun a -> a = "--isolate-only") Sys.argv in
   let fault_only = Array.exists (fun a -> a = "--fault-only") Sys.argv in
-  let sched_only = Array.exists (fun a -> a = "--sched-only") Sys.argv in
   let trace_only = Array.exists (fun a -> a = "--trace-only") Sys.argv in
   let serve_only = Array.exists (fun a -> a = "--serve-only") Sys.argv in
   let chaos_only = Array.exists (fun a -> a = "--chaos-only") Sys.argv in
@@ -1909,27 +1757,6 @@ let () =
     if overhead > fault_gate_pct then begin
       Printf.eprintf "FAIL: armed-but-idle fault overhead %.2f%% > %.1f%%\n"
         overhead fault_gate_pct;
-      exit 1
-    end;
-    exit 0
-  end;
-  if sched_only then begin
-    (* CI entry point (bench/check.sh): compiled-vs-classic on the
-       scheduling-dense netlist, with a hard floor on the speedup and
-       byte-identity of the cache-bench metrics documents. *)
-    let speedup, identical =
-      sched_section
-        ~cycles:(if quick then 1_000 else 4_000)
-        ~ops_count:(if quick then 500 else 1000)
-        ()
-    in
-    if not identical then begin
-      Printf.eprintf "FAIL: metrics documents differ between engines\n";
-      exit 1
-    end;
-    if speedup < sched_gate then begin
-      Printf.eprintf "FAIL: compiled scheduler speedup %.2fx < %.1fx\n" speedup
-        sched_gate;
       exit 1
     end;
     exit 0
@@ -2081,7 +1908,6 @@ let () =
   ablation_checker_backend (Workload.des56 ~seed:42 ~count:(des_count / 4) ());
   ablation_wrapper_stats (Workload.des56 ~seed:42 ~count:(des_count / 4) ());
   ignore (checker_cache_section ~ops_count:(des_count / 4) ());
-  ignore (sched_section ~ops_count:(des_count / 4) ());
   ignore (obs_overhead_section ~ops_count:(des_count / 4) ());
   ignore (fault_overhead_section ~ops_count:(des_count / 4) ());
   (if Domain.recommended_domain_count () >= campaign_workers then

@@ -51,9 +51,23 @@ let known_signals = Models.known_signals
 
 (* --- workload flags ----------------------------------------------- *)
 
+(* A negative count would reach [List.init] deep in the workload
+   generators; refuse it as a usage error instead.  Zero is a valid
+   (empty) run. *)
+let non_negative_int =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= 0 -> Ok n
+    | Some _ | None ->
+      Error
+        (`Msg
+           (Printf.sprintf "invalid value '%s', expected a non-negative integer" s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
 let ops_arg =
   Arg.(
-    value & opt int 200
+    value & opt non_negative_int 200
     & info [ "ops"; "n" ] ~docv:"N" ~doc:"Workload size (operations or pixels).")
 
 let seed_arg =
@@ -70,30 +84,6 @@ let props_arg =
            abstracted with Methodology III.1 (clock 10 ns, the model's \
            abstracted signals); only the automatically-safe results are \
            attached.")
-
-(* --- engine ------------------------------------------------------- *)
-
-(* Engine selection is a process-wide default ([Kernel.create] reads
-   it), so one flag covers every kernel a subcommand creates —
-   including worker subprocesses, which receive the selection over the
-   wire ([sim_engine] in every request). *)
-let engine_arg =
-  let engine_enum =
-    Arg.enum
-      [ ("classic", Tabv_sim.Kernel.Classic);
-        ("compiled", Tabv_sim.Kernel.Compiled) ]
-  in
-  Arg.(
-    value
-    & opt (some engine_enum) None
-    & info [ "engine" ] ~docv:"ENGINE"
-        ~doc:
-          "Simulation kernel engine: $(b,classic) (the dynamic event-driven \
-           reference) or $(b,compiled) (levelized static schedule over a \
-           dense signal arena).  Reports and metrics are byte-identical \
-           across engines; compiled is faster on scheduling-bound runs.")
-
-let apply_engine = Option.iter Tabv_sim.Kernel.set_default_engine
 
 (* --- property files ----------------------------------------------- *)
 

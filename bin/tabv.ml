@@ -13,8 +13,7 @@
      replay    check properties offline against a VCD waveform
      fig3      reproduce the paper's Fig. 3 rewriting demonstration
 
-   The flag specs shared between subcommands (model/workload/engine
-   flags, executor and journal plumbing, report writers) live in
+   The flag specs shared between subcommands (model/workload flags, executor and journal plumbing, report writers) live in
    {!Cli}. *)
 
 open Cmdliner
@@ -130,14 +129,6 @@ let metrics_json_arg =
                FILE (deterministic: byte-identical across runs with the \
                same seed).")
 
-let stats_flag_arg =
-  Arg.(value & flag & info [ "stats" ]
-         ~doc:"Deprecated alias of $(b,--metrics).")
-
-let stats_json_arg =
-  Arg.(value & opt (some string) None & info [ "stats-json" ] ~docv:"FILE"
-         ~doc:"Deprecated alias of $(b,--metrics-json).")
-
 let check_report_json_arg =
   Cli.report_json_arg
     ~doc:
@@ -148,20 +139,8 @@ let check_report_json_arg =
 (* The one simulation driver behind `check` and `record`; [trace_out]
    is what separates them. *)
 let simulate_run ~cmd trace_out model count seed props_file metrics_flag
-    metrics_json stats_flag stats_json report_out engine =
-  Cli.apply_engine engine;
+    metrics_json report_out =
   let fail = Cli.fail cmd in
-  if stats_flag then
-    Printf.eprintf "tabv %s: --stats is deprecated; use --metrics\n" cmd;
-  if stats_json <> None then
-    Printf.eprintf "tabv %s: --stats-json is deprecated; use --metrics-json\n"
-      cmd;
-  let metrics_flag = metrics_flag || stats_flag in
-  let metrics_json =
-    match metrics_json with
-    | Some _ as path -> path
-    | None -> stats_json
-  in
   let metrics =
     if metrics_flag || metrics_json <> None then begin
       let m = Tabv_obs.Metrics.create ~enabled:true () in
@@ -287,8 +266,7 @@ let check_cmd =
     Term.(
       const (simulate_run ~cmd:"check") $ const None $ Cli.model_arg
       $ Cli.ops_arg $ Cli.seed_arg $ Cli.props_arg $ metrics_flag_arg
-      $ metrics_json_arg $ stats_flag_arg $ stats_json_arg
-      $ check_report_json_arg $ Cli.engine_arg)
+      $ metrics_json_arg $ check_report_json_arg)
 
 let record_cmd =
   let trace_out =
@@ -306,8 +284,7 @@ let record_cmd =
     Term.(
       const (fun path -> simulate_run ~cmd:"record" (Some path))
       $ trace_out $ Cli.model_arg $ Cli.ops_arg $ Cli.seed_arg $ Cli.props_arg
-      $ metrics_flag_arg $ metrics_json_arg $ stats_flag_arg $ stats_json_arg
-      $ check_report_json_arg $ Cli.engine_arg)
+      $ metrics_flag_arg $ metrics_json_arg $ check_report_json_arg)
 
 (* --- recheck ------------------------------------------------------ *)
 
@@ -581,8 +558,7 @@ let campaign_cmd =
          stdout)."
   in
   let run manifest duvs levels seeds ops props workers retries report_out
-      isolate timeout journal_path resume engine =
-    Cli.apply_engine engine;
+      isolate timeout journal_path resume =
     let fail = Cli.fail "campaign" in
     let manifest =
       match manifest with
@@ -660,7 +636,7 @@ let campaign_cmd =
     Term.(
       const run $ manifest $ duvs $ levels $ seeds $ ops $ props $ workers
       $ retries $ report_out $ Cli.isolate_arg $ Cli.timeout_arg
-      $ Cli.journal_arg $ Cli.resume_arg $ Cli.engine_arg)
+      $ Cli.journal_arg $ Cli.resume_arg)
 
 (* --- qualify ------------------------------------------------------ *)
 
@@ -699,8 +675,7 @@ let qualify_cmd =
          ('-' for stdout)."
   in
   let run duv levels seed ops workers retries report_out isolate timeout
-      journal_path resume engine =
-    Cli.apply_engine engine;
+      journal_path resume =
     let fail = Cli.fail "qualify" in
     let duv =
       match Campaign.duv_of_name duv with
@@ -763,8 +738,7 @@ let qualify_cmd =
   Cmd.v (Cmd.info "qualify" ~doc)
     Term.(
       const run $ duv $ levels $ seed $ ops $ workers $ retries $ report_out
-      $ Cli.isolate_arg $ Cli.timeout_arg $ Cli.journal_arg $ Cli.resume_arg
-      $ Cli.engine_arg)
+      $ Cli.isolate_arg $ Cli.timeout_arg $ Cli.journal_arg $ Cli.resume_arg)
 
 (* --- serve -------------------------------------------------------- *)
 
@@ -943,7 +917,7 @@ let client_cmd =
              ~doc:"DUV model for check/record requests.")
   in
   let ops =
-    Arg.(value & opt int 40 & info [ "ops"; "n" ] ~docv:"N"
+    Arg.(value & opt Cli.non_negative_int 40 & info [ "ops"; "n" ] ~docv:"N"
            ~doc:"Workload size (operations / pixels).")
   in
   let seed =
@@ -1011,7 +985,7 @@ let client_cmd =
         "Write the report to FILE ('-' or absent: stdout).  The bytes are \
          exactly what the one-shot CLI's --report-json would have written."
   in
-  let run op socket tcp model ops seed props engine trace_out trace_in
+  let run op socket tcp model ops seed props trace_out trace_in
       manifest journal duv levels workers retries attempts retry_seed
       report_out =
     let fail = Cli.fail "client" in
@@ -1041,7 +1015,7 @@ let client_cmd =
             Some
               (Protocol.Check
                  { model = require_model (); seed; ops; props = props_src;
-                   engine; trace_out = None })
+                   engine = None; trace_out = None })
           | `Record ->
             let path =
               match trace_out with
@@ -1051,7 +1025,7 @@ let client_cmd =
             Some
               (Protocol.Check
                  { model = require_model (); seed; ops; props = props_src;
-                   engine; trace_out = Some path })
+                   engine = None; trace_out = Some path })
           | `Recheck ->
             let trace =
               match trace_in with
@@ -1147,7 +1121,7 @@ let client_cmd =
   Cmd.v (Cmd.info "client" ~doc)
     Term.(
       const run $ op $ socket_arg $ tcp_arg $ model $ ops $ seed $ props
-      $ Cli.engine_arg $ trace_out $ trace_in $ manifest $ journal $ duv
+      $ trace_out $ trace_in $ manifest $ journal $ duv
       $ levels $ workers $ retries $ attempts $ retry_seed $ report_out)
 
 (* --- doctor ------------------------------------------------------- *)
@@ -1202,23 +1176,6 @@ let doctor_cmd =
     check "MemCtrl RTL read-back"
       ((Memctrl_testbench.run_rtl mem_ops).Testbench.outputs
        = List.map Int64.of_int (Memctrl_testbench.reference_reads mem_ops));
-    let engine_identity =
-      (* Same workload on both kernel engines, full metrics on: the
-         observability documents must be byte-identical (the compiled
-         engine's contract), with a fresh checker universe per run so
-         interning order cannot leak between them. *)
-      let report sim_engine =
-        Tabv_checker.Progression.reset_universe ();
-        let metrics = Tabv_obs.Metrics.create ~enabled:true () in
-        Tabv_core.Report_json.to_string
-          (Testbench.metrics_json
-             (Testbench.run_des56_rtl ~metrics ~sim_engine
-                ~properties:Des56_props.all quick_ops))
-      in
-      report Tabv_sim.Kernel.Classic = report Tabv_sim.Kernel.Compiled
-    in
-    check "engine_identity: compiled run reports byte-identically to classic"
-      engine_identity;
     let record_recheck_identity =
       (* Record a short run with a binary trace tapped in, then replay
          the same property set offline: the verdict documents must be

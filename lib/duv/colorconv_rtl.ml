@@ -74,9 +74,6 @@ let create kernel clock =
   in
   Elab.process el ~name:"colorconv_rtl" ~pos:__POS__ ~initialize:false
     ~sensitivity:[ Clock.posedge clock ]
-    ~reads:
-      ([ Elab.Pack t.dv; Elab.Pack t.r; Elab.Pack t.g; Elab.Pack t.b ]
-      @ Array.to_list (Array.map (fun s -> Elab.Pack s) t.pipe))
     ~writes:
       ([ Elab.Pack t.ovalid; Elab.Pack t.y; Elab.Pack t.cb; Elab.Pack t.cr ]
       @ Array.to_list (Array.map (fun s -> Elab.Pack s) t.valids)
@@ -94,8 +91,8 @@ let cb t = t.cb
 let cr t = t.cr
 let valids t = t.valids
 
-(* Observation paths read through the engine interface
-   ([Signal.observe]), keeping traces and checkers engine-agnostic. *)
+(* Observation paths read through [Signal.observe], keeping traces
+   and checkers agnostic to where a signal's value is stored. *)
 let bindings t =
   [ ("dv", Expr.Bool_reader (fun () -> Signal.observe t.dv));
     ("r", Expr.Int_reader (fun () -> Signal.observe t.r));

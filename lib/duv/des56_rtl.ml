@@ -81,7 +81,6 @@ let create ?fault kernel clock =
   in
   Elab.process el ~name:"des56_rtl" ~pos:__POS__ ~initialize:false
     ~sensitivity:[ Clock.posedge clock ]
-    ~reads:[ Elab.Pack t.ds; Elab.Pack t.decrypt; Elab.Pack t.key; Elab.Pack t.indata ]
     ~writes:
       [ Elab.Pack t.out;
         Elab.Pack t.rdy;
@@ -135,9 +134,8 @@ let rdy t = t.rdy
 let rdy_next_cycle t = t.rdy_next_cycle
 let rdy_next_next_cycle t = t.rdy_next_next_cycle
 
-(* Observation paths go through [Signal.observe] — the engine
-   interface read — so checkers, traces and VCD dumps are agnostic to
-   where the engine stores the value. *)
+(* Observation paths go through [Signal.observe], so checkers, traces
+   and VCD dumps are agnostic to where a signal's value is stored. *)
 let bindings t =
   [ ("ds", Expr.Bool_reader (fun () -> Signal.observe t.ds));
     ("decrypt", Expr.Bool_reader (fun () -> Signal.observe t.decrypt));

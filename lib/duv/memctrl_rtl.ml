@@ -75,7 +75,6 @@ let create kernel clock =
   in
   Elab.process el ~name:"memctrl_rtl" ~pos:__POS__ ~initialize:false
     ~sensitivity:[ Clock.posedge clock ]
-    ~reads:[ Elab.Pack t.req; Elab.Pack t.we; Elab.Pack t.addr; Elab.Pack t.wdata ]
     ~writes:[ Elab.Pack t.ack; Elab.Pack t.ack_next_cycle; Elab.Pack t.rdata ]
     on_posedge;
   t
@@ -88,8 +87,8 @@ let ack t = t.ack
 let ack_next_cycle t = t.ack_next_cycle
 let rdata t = t.rdata
 
-(* Observation paths read through the engine interface
-   ([Signal.observe]), keeping traces and checkers engine-agnostic. *)
+(* Observation paths read through [Signal.observe], keeping traces
+   and checkers agnostic to where a signal's value is stored. *)
 let bindings t =
   [ ("req", Expr.Bool_reader (fun () -> Signal.observe t.req));
     ("we", Expr.Bool_reader (fun () -> Signal.observe t.we));

@@ -9,7 +9,6 @@ val reference_reads : Memctrl_iface.op list -> int list
 val run_rtl :
   ?properties:Property.t list ->
   ?engine:Monitor.engine ->
-  ?sim_engine:Tabv_sim.Kernel.engine ->
   ?metrics:Tabv_obs.Metrics.t ->
   ?trace_writer:Tabv_trace.Writer.t ->
   ?gap_cycles:int ->
@@ -23,7 +22,6 @@ val run_rtl :
 val run_tlm_ca :
   ?properties:Property.t list ->
   ?engine:Monitor.engine ->
-  ?sim_engine:Tabv_sim.Kernel.engine ->
   ?metrics:Tabv_obs.Metrics.t ->
   ?trace_writer:Tabv_trace.Writer.t ->
   ?gap_cycles:int ->
@@ -37,7 +35,6 @@ val run_tlm_ca :
 val run_tlm_at :
   ?properties:Property.t list ->
   ?engine:Monitor.engine ->
-  ?sim_engine:Tabv_sim.Kernel.engine ->
   ?metrics:Tabv_obs.Metrics.t ->
   ?trace_writer:Tabv_trace.Writer.t ->
   ?gap_cycles:int ->

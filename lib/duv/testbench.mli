@@ -149,14 +149,11 @@ val faults_triggered_of : Tabv_fault.Fault.installed option -> int
 
 (** [gap_cycles] idle cycles between operations (default 2);
     [fault] injects a design bug (see {!Des56_rtl.fault});
-    [engine] selects the checker synthesis backend; [sim_engine]
-    the simulation kernel engine (default:
-    {!Tabv_sim.Kernel.get_default_engine}) — all run functions take
-    both, and every report is byte-identical across kernel engines. *)
+    [engine] selects the checker synthesis backend (all run functions
+    take it). *)
 val run_des56_rtl :
   ?properties:Property.t list ->
   ?engine:Monitor.engine ->
-  ?sim_engine:Tabv_sim.Kernel.engine ->
   ?metrics:Tabv_obs.Metrics.t ->
   ?record_trace:bool ->
   ?trace_writer:Tabv_trace.Writer.t ->
@@ -172,7 +169,6 @@ val run_des56_rtl :
 val run_des56_tlm_ca :
   ?properties:Property.t list ->
   ?engine:Monitor.engine ->
-  ?sim_engine:Tabv_sim.Kernel.engine ->
   ?metrics:Tabv_obs.Metrics.t ->
   ?record_trace:bool ->
   ?trace_writer:Tabv_trace.Writer.t ->
@@ -191,7 +187,6 @@ val run_des56_tlm_at :
   ?properties:Property.t list ->
   ?grid_properties:Property.t list ->
   ?engine:Monitor.engine ->
-  ?sim_engine:Tabv_sim.Kernel.engine ->
   ?metrics:Tabv_obs.Metrics.t ->
   ?record_trace:bool ->
   ?trace_writer:Tabv_trace.Writer.t ->
@@ -211,7 +206,6 @@ val run_des56_tlm_at :
 val run_des56_tlm_lt :
   ?properties:Property.t list ->
   ?engine:Monitor.engine ->
-  ?sim_engine:Tabv_sim.Kernel.engine ->
   ?metrics:Tabv_obs.Metrics.t ->
   ?gap_cycles:int ->
   ?fault_plan:Tabv_fault.Fault.plan ->
@@ -224,7 +218,6 @@ val run_des56_tlm_lt :
 val run_colorconv_rtl :
   ?properties:Property.t list ->
   ?engine:Monitor.engine ->
-  ?sim_engine:Tabv_sim.Kernel.engine ->
   ?metrics:Tabv_obs.Metrics.t ->
   ?record_trace:bool ->
   ?trace_writer:Tabv_trace.Writer.t ->
@@ -237,7 +230,6 @@ val run_colorconv_rtl :
 val run_colorconv_tlm_ca :
   ?properties:Property.t list ->
   ?engine:Monitor.engine ->
-  ?sim_engine:Tabv_sim.Kernel.engine ->
   ?metrics:Tabv_obs.Metrics.t ->
   ?record_trace:bool ->
   ?trace_writer:Tabv_trace.Writer.t ->
@@ -251,7 +243,6 @@ val run_colorconv_tlm_at :
   ?properties:Property.t list ->
   ?grid_properties:Property.t list ->
   ?engine:Monitor.engine ->
-  ?sim_engine:Tabv_sim.Kernel.engine ->
   ?metrics:Tabv_obs.Metrics.t ->
   ?record_trace:bool ->
   ?trace_writer:Tabv_trace.Writer.t ->

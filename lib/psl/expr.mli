@@ -60,7 +60,7 @@ val eval : (string -> value option) -> t -> bool
 
 val eval_arith : (string -> value option) -> arith -> int
 
-(** {2 Compiled readers}
+(** {2 Atom readers}
 
     The checker does not interpret atoms on its hot path: each atom is
     compiled once, against a resolver, into a [unit -> bool] closure

@@ -31,8 +31,8 @@ type outcome = {
 
 (* Canonical fingerprint of a job: digest of its canonical request
    JSON.  Two requests with the same fingerprint are the same
-   verification work (model, workload, properties, engine — everything
-   that shapes the result travels in the request). *)
+   verification work (model, workload, properties — everything that
+   shapes the result travels in the request). *)
 let fingerprint job =
   Digest.to_hex (Digest.string (J.to_string (Protocol.job_json job)))
 
@@ -85,14 +85,9 @@ let parse_props = function
 
 let ( let* ) = Result.bind
 
-let exec_check ~model ~seed ~ops ~props ~engine ~trace_out =
+let exec_check ~model ~seed ~ops ~props ~trace_out =
   let* user = parse_props props in
   let properties, grid_properties = Models.properties_for model user in
-  let engine =
-    match engine with
-    | Some e -> e
-    | None -> Tabv_sim.Kernel.get_default_engine ()
-  in
   let* writer =
     match trace_out with
     | None -> Ok None
@@ -104,7 +99,9 @@ let exec_check ~model ~seed ~ops ~props ~engine ~trace_out =
       else
         let meta =
           { Tabv_trace.Meta.model = Models.name model; seed; ops;
-            engine = Tabv_sim.Kernel.engine_name engine }
+            engine =
+              Tabv_sim.Kernel.engine_name (Tabv_sim.Kernel.get_default_engine ())
+          }
         in
         Ok (Some (Tabv_trace.Writer.create ~path meta))
   in
@@ -112,8 +109,8 @@ let exec_check ~model ~seed ~ops ~props ~engine ~trace_out =
     Fun.protect
       ~finally:(fun () -> Option.iter Tabv_trace.Writer.close writer)
       (fun () ->
-        Models.run ?trace_writer:writer ~sim_engine:engine model ~seed ~ops
-          ~properties ~grid_properties)
+        Models.run ?trace_writer:writer model ~seed ~ops ~properties
+          ~grid_properties)
   in
   Ok
     {
@@ -284,8 +281,8 @@ let execute ?(interrupted = fun () -> false) ~state_dir job =
   Tabv_checker.Progression.reset_universe ();
   match
     match job with
-    | Protocol.Check { model; seed; ops; props; engine; trace_out } ->
-      exec_check ~model ~seed ~ops ~props ~engine ~trace_out
+    | Protocol.Check { model; seed; ops; props; engine = _; trace_out } ->
+      exec_check ~model ~seed ~ops ~props ~trace_out
     | Protocol.Recheck { trace; props; workers; retries } ->
       exec_recheck ~interrupted ~trace ~props ~workers ~retries
     | Protocol.Campaign { manifest; workers; retries; journal } ->

@@ -34,6 +34,7 @@ type job =
       ops : int;
       props : string option;  (* property-language source, inline *)
       engine : Tabv_sim.Kernel.engine option;
+          (* only "classic" decodes; kept for wire compatibility *)
       trace_out : string option;  (* Some path = a record request *)
     }
   | Recheck of {
@@ -171,6 +172,7 @@ let decode_check what ~record fields =
   in
   let* seed = Wire.int_field what "seed" fields in
   let* ops = Wire.int_field what "ops" fields in
+  let* () = if ops < 0 then Error (what ^ ".ops: must be >= 0") else Ok () in
   let* props = decode_props what fields in
   let* engine = decode_engine what fields in
   let* trace_out =
@@ -233,6 +235,16 @@ let decode_job what op fields =
     let* retries = int_default what "retries" ~default:1 fields in
     Ok (Qualify { duv; levels; seed; ops; workers; retries })
   | other -> Error (Printf.sprintf "%s: unknown op %S" what other)
+
+(* The id of a request that failed to decode, when it carries a usable
+   one: the error event then reaches the waiting client instead of
+   going out under id -1, which no client is waiting on. *)
+let request_id = function
+  | J.Assoc fields ->
+    (match List.assoc_opt "id" fields with
+     | Some (J.Int id) -> Some id
+     | Some _ | None -> None)
+  | _ -> None
 
 let request_of_json json =
   let what = "request" in

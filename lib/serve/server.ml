@@ -925,7 +925,9 @@ let service_conn_read t conn =
              (Printf.sprintf "unparsable request: %d:%d: %s" line col message)
          | json ->
            (match Protocol.request_of_json json with
-            | Error message -> send_event conn ~id:(-1) (Protocol.Error { message })
+            | Error message ->
+              let id = Option.value (Protocol.request_id json) ~default:(-1) in
+              send_event conn ~id (Protocol.Error { message })
             | Ok (id, request) -> handle_request t conn ~id request);
            pump ())
   in

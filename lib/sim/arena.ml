@@ -8,13 +8,6 @@
    load and an update is a load/compare/store with no allocation and
    no polymorphic comparison.
 
-   The dirty flags are one [bool] array element — one word — per slot,
-   not a packed bitset: partition-pool workers set and clear flags of
-   their own partition's slots concurrently, and disjoint plain word
-   stores are race-free under the OCaml memory model, whereas packed
-   bits would need a read-modify-write that can lose a neighbouring
-   partition's just-set bit.
-
    The arena stores values and pending-update flags only; scheduling
    (which slot updates in which delta) stays with the kernel, and the
    [Signal] front-end keeps the per-signal metadata (name, change

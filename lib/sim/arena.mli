@@ -1,11 +1,9 @@
 (** Dense signal arena: flat [current]/[next] value arrays plus a
     dirty flag array per typed pool.  Every elaborated
     [bool]/[int]/[int64] signal claims one slot; reads are single
-    array loads and pending updates are per-slot flag stores, so the
-    compiled engine's signal traffic allocates nothing.  The flags are
-    one word per slot (not packed bits) so partition-pool workers
-    marking slots of disjoint partitions never read-modify-write
-    shared memory.  One arena belongs to one kernel. *)
+    array loads and pending updates are per-slot flag stores, so
+    signal traffic allocates nothing.  One arena belongs to one
+    kernel. *)
 
 type 'a pool
 type t

@@ -10,18 +10,11 @@
      process; clock-edge sensitivity makes a process a root);
    - the graph is levelized with Kahn's algorithm — a combinational
      cycle is an elaboration error, reported with the source positions
-     the offending processes were registered at;
-   - connected components of the shared-signal relation become
-     partitions: two processes land in the same partition iff they
-     transitively touch a common signal, so distinct partitions are
-     proven independent and may evaluate in parallel
-     ({!parallelize});
-   - every registered event handler is tagged with its partition, which
-     is what the compiled kernel's dispatch loop consumes.
+     the offending processes were registered at.
 
-   Registration itself is engine-neutral: the same declarative model
-   runs unchanged on the classic engine, where levels and partition
-   tags are simply ignored. *)
+   Compilation checks the design; it does not change how the kernel
+   schedules it.  Every process runs as one subscriber of each of its
+   sensitivity events, in registration order. *)
 
 type pos = string * int * int * int
 
@@ -44,18 +37,8 @@ type proc = {
   pr_pos : pos option;
   pr_index : int;
   pr_sensitivity : Event.t list;
-  pr_reads : int list;  (* signal uids *)
-  pr_writes : int list;
-  pr_subs : (Event.t * int) list;  (* handler indices, for partition tags *)
-  pr_body : unit -> unit;  (* unwrapped body, for fused blocks *)
+  pr_writes : int list;  (* signal uids *)
   mutable pr_level : int;
-  mutable pr_part : int;
-}
-
-type schedule = {
-  sched_levels : int;
-  sched_partitions : int;
-  sched_processes : (string * int * int) list;  (* name, level, partition *)
 }
 
 type t = {
@@ -66,91 +49,11 @@ type t = {
   mutable n_procs : int;
   mutable done_ : bool;
   mutable levels : int;
-  mutable n_parts : int;
 }
 
 let pos_string = function
   | Some (file, line, _, _) -> Printf.sprintf "%s:%d" file line
   | None -> "<no position>"
-
-(* The serial static schedule: contiguous runs of this design's
-   handlers on each sensitivity event collapse into one activation
-   block, so a fire pushes a single action per run instead of one per
-   process and the evaluation loop dispatches once per block.  The
-   block replays the bodies in subscription order — the order the
-   classic per-handler path schedules them in — and mirrors the
-   evaluation loop's own bookkeeping: one activation count per body, a
-   stop poll between bodies, and per-body crash containment when the
-   run asks for it (labels are only maintained then; they are
-   unobservable otherwise). *)
-let activation_block k names bodies =
-  let n = Array.length bodies in
-  fun () ->
-    if Kernel.containing k then begin
-      let i = ref 0 in
-      while !i < n && not (Kernel.stopping k) do
-        if !i > 0 then Kernel.add_activation k;
-        Kernel.set_label k (Array.unsafe_get names !i);
-        (try (Array.unsafe_get bodies !i) () with e -> Kernel.record_crash k e);
-        incr i
-      done
-    end
-    else begin
-      let i = ref 0 in
-      while !i < n && not (Kernel.stopping k) do
-        if !i > 0 then Kernel.add_activation k;
-        (Array.unsafe_get bodies !i) ();
-        incr i
-      done
-    end
-
-let fuse_blocks t procs =
-  (* Distinct sensitivity events, by physical identity (events embed
-     closures, so they are not hashable or comparable). *)
-  let events = ref [] in
-  Array.iter
-    (fun p ->
-      List.iter
-        (fun (ev, _) -> if not (List.memq ev !events) then events := ev :: !events)
-        p.pr_subs)
-    procs;
-  List.iter
-    (fun ev ->
-      let subs = ref [] in
-      Array.iter
-        (fun p ->
-          List.iter (fun (e, idx) -> if e == ev then subs := (idx, p) :: !subs) p.pr_subs)
-        procs;
-      let subs = List.sort (fun (a, _) (b, _) -> compare a b) !subs in
-      (* Maximal runs of consecutive handler indices become blocks;
-         handlers interleaved with foreign subscriptions stay where
-         they are, preserving fire-time order exactly. *)
-      let spans = ref [] in
-      let rec runs = function
-        | [] -> ()
-        | (first, p) :: rest ->
-          let members = ref [ p ] in
-          let last = ref first in
-          let rest = ref rest in
-          let continue_ = ref true in
-          while !continue_ do
-            match !rest with
-            | (idx, q) :: tail when idx = !last + 1 ->
-              members := q :: !members;
-              last := idx;
-              rest := tail
-            | _ -> continue_ := false
-          done;
-          let members = Array.of_list (List.rev !members) in
-          let names = Array.map (fun p -> p.pr_name) members in
-          let bodies = Array.map (fun p -> p.pr_body) members in
-          spans :=
-            ((first, !last), activation_block t.e_kernel names bodies) :: !spans;
-          runs !rest
-      in
-      runs subs;
-      Event.fuse ev (List.rev !spans))
-    !events
 
 let compile t =
   if not t.done_ then begin
@@ -227,58 +130,7 @@ let compile t =
                         (pos_string p.pr_pos))
                     stuck))))
     end;
-    t.levels <- (if n = 0 then 0 else !max_level + 1);
-    (* Partitions: union-find over the touched-signal sets.  Processes
-       that declared no reads and no writes stay untagged — nothing is
-       proven about them, so they always run on the main domain. *)
-    let parent = Hashtbl.create 16 in
-    let rec find u =
-      match Hashtbl.find_opt parent u with
-      | None ->
-        Hashtbl.replace parent u u;
-        u
-      | Some p when p = u -> u
-      | Some p ->
-        let root = find p in
-        Hashtbl.replace parent u root;
-        root
-    in
-    let union a b =
-      let ra = find a and rb = find b in
-      if ra <> rb then Hashtbl.replace parent ra rb
-    in
-    Array.iter
-      (fun p ->
-        match p.pr_reads @ p.pr_writes with
-        | [] -> ()
-        | u0 :: rest -> List.iter (fun u -> union u0 u) rest)
-      procs;
-    let part_ids = Hashtbl.create 16 in
-    let n_parts = ref 0 in
-    Array.iter
-      (fun p ->
-        match p.pr_reads @ p.pr_writes with
-        | [] -> p.pr_part <- -1
-        | u0 :: _ ->
-          let root = find u0 in
-          p.pr_part <-
-            (match Hashtbl.find_opt part_ids root with
-             | Some id -> id
-             | None ->
-               let id = !n_parts in
-               incr n_parts;
-               Hashtbl.replace part_ids root id;
-               id))
-      procs;
-    t.n_parts <- !n_parts;
-    (* Hand the partition tags to the event layer: this is the part of
-       the schedule the compiled dispatch loop consumes. *)
-    Array.iter
-      (fun p ->
-        if p.pr_part >= 0 then
-          List.iter (fun (ev, idx) -> Event.set_partition ev idx p.pr_part) p.pr_subs)
-      procs;
-    if Kernel.is_compiled t.e_kernel then fuse_blocks t procs
+    t.levels <- (if n = 0 then 0 else !max_level + 1)
   end
 
 let create kernel =
@@ -291,7 +143,6 @@ let create kernel =
       n_procs = 0;
       done_ = false;
       levels = 0;
-      n_parts = 0;
     }
   in
   Kernel.add_pre_run_hook kernel (fun () -> compile t);
@@ -322,22 +173,17 @@ let signal t ?equal ~init name =
   register_signal t s;
   s
 
-let process t ~name ?pos ?(initialize = true) ~sensitivity ?(reads = [])
-    ?(writes = []) body =
+let process t ~name ?pos ?(initialize = true) ~sensitivity ?(writes = [])
+    body =
   if t.done_ then
     invalid_arg
       (Printf.sprintf "Elab.process: %s registered after compilation" name);
   let k = t.e_kernel in
   let wrapped () =
-    (* Under a partition pool this wrapper runs on worker domains;
-       [set_label] would be an unsynchronized cross-domain write to
-       the kernel's label field.  Crash containment — the only reader
-       of labels — is forbidden with a pool, so the label is
-       unobservable there and the write is simply skipped. *)
-    if not (Kernel.pool_active k) then Kernel.set_label k name;
+    Kernel.set_label k name;
     body ()
   in
-  let subs = List.map (fun ev -> (ev, Event.subscribe ev wrapped)) sensitivity in
+  List.iter (fun ev -> Event.on_event ev wrapped) sensitivity;
   if initialize then Kernel.schedule_now k wrapped;
   let uid_of (Pack s) = Signal.uid s in
   t.procs <-
@@ -346,12 +192,8 @@ let process t ~name ?pos ?(initialize = true) ~sensitivity ?(reads = [])
       pr_pos = pos;
       pr_index = t.n_procs;
       pr_sensitivity = sensitivity;
-      pr_reads = List.map uid_of reads;
       pr_writes = List.map uid_of writes;
-      pr_subs = subs;
-      pr_body = body;
       pr_level = 0;
-      pr_part = -1;
     }
     :: t.procs;
   t.n_procs <- t.n_procs + 1
@@ -363,27 +205,3 @@ let levels t =
   compile t;
   t.levels
 
-let partition_count t =
-  compile t;
-  t.n_parts
-
-let schedule t =
-  compile t;
-  {
-    sched_levels = t.levels;
-    sched_partitions = t.n_parts;
-    sched_processes =
-      List.rev_map (fun p -> (p.pr_name, p.pr_level, p.pr_part)) t.procs;
-  }
-
-let parallelize t ~domains =
-  compile t;
-  if
-    t.n_parts >= 2
-    && Kernel.is_compiled t.e_kernel
-    && not (Tabv_obs.Metrics.enabled (Kernel.metrics t.e_kernel))
-  then begin
-    Kernel.install_pool t.e_kernel ~domains ~partitions:t.n_parts;
-    true
-  end
-  else false

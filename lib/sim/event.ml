@@ -1,20 +1,11 @@
 type t = {
   kernel : Kernel.t;
   name : string;
-  compiled : bool;  (* engine of [kernel], latched at creation *)
   mutable dynamic : (unit -> unit) list;
-  (* Static handlers and their partition tags, in registration order,
-     iterated without allocating on fire. *)
+  (* Static handlers in registration order, iterated without
+     allocating on fire. *)
   mutable statics : (unit -> unit) array;
-  mutable parts : int array;
   mutable n_static : int;
-  (* Serial fused view ({!fuse}): contiguous handler runs collapsed
-     into activation blocks.  [n_fused < 0] means no view; any later
-     [subscribe] invalidates it.  Only consulted without a partition
-     pool, so the tag side needs no fused counterpart. *)
-  mutable fstatics : (unit -> unit) array;
-  mutable fparts : int array;
-  mutable n_fused : int;
   mutable notifications : int;
 }
 
@@ -22,14 +13,9 @@ let create kernel name =
   {
     kernel;
     name;
-    compiled = Kernel.is_compiled kernel;
     dynamic = [];
     statics = Array.make 4 ignore;
-    parts = Array.make 4 (-1);
     n_static = 0;
-    fstatics = [||];
-    fparts = [||];
-    n_fused = -1;
     notifications = 0;
   }
 
@@ -38,9 +24,7 @@ let kernel t = t.kernel
 
 let fire t =
   t.notifications <- t.notifications + 1;
-  (if t.compiled && t.n_fused >= 0 && not (Kernel.pool_active t.kernel) then
-     Kernel.schedule_next_delta_batch t.kernel t.fstatics t.fparts t.n_fused
-   else Kernel.schedule_next_delta_batch t.kernel t.statics t.parts t.n_static);
+  Kernel.schedule_next_delta_batch t.kernel t.statics t.n_static;
   match t.dynamic with
   | [] -> ()
   | dynamic ->
@@ -53,65 +37,14 @@ let notify_after t ~delay =
   if delay = 0 then fire t
   else Kernel.schedule_after t.kernel ~delay (fun () -> fire t)
 
-let subscribe t f =
-  (* Any new handler invalidates a fused view (it would not be part of
-     the blocks); fires fall back to the per-handler arrays. *)
-  t.n_fused <- -1;
-  t.fstatics <- [||];
-  t.fparts <- [||];
+let on_event t f =
   if t.n_static = Array.length t.statics then begin
     let grown = Array.make (2 * t.n_static) ignore in
     Array.blit t.statics 0 grown 0 t.n_static;
-    t.statics <- grown;
-    let grown_parts = Array.make (2 * t.n_static) (-1) in
-    Array.blit t.parts 0 grown_parts 0 t.n_static;
-    t.parts <- grown_parts
+    t.statics <- grown
   end;
   t.statics.(t.n_static) <- f;
-  t.parts.(t.n_static) <- -1;
-  t.n_static <- t.n_static + 1;
-  t.n_static - 1
-
-let on_event t f = ignore (subscribe t f)
-
-let set_partition t index part =
-  if index < 0 || index >= t.n_static then
-    invalid_arg "Event.set_partition: no such subscription";
-  t.parts.(index) <- part
-
-let fuse t spans =
-  (* [spans] is a sorted, non-overlapping list of inclusive index runs
-     [(first, last), block]: the fused view keeps every handler outside
-     the spans in place and replaces each run with its block, so
-     fire-time scheduling order is exactly the per-handler order. *)
-  let out = ref [] in
-  let n_out = ref 0 in
-  let i = ref 0 in
-  let rest = ref spans in
-  while !i < t.n_static do
-    (match !rest with
-     | ((first, last), block) :: tail when first = !i ->
-       if last < first || last >= t.n_static then
-         invalid_arg "Event.fuse: span out of range";
-       out := block :: !out;
-       rest := tail;
-       i := last + 1
-     | ((first, _), _) :: _ when first < !i ->
-       invalid_arg "Event.fuse: overlapping or unsorted spans"
-     | _ ->
-       out := t.statics.(!i) :: !out;
-       incr i);
-    incr n_out
-  done;
-  if !rest <> [] then invalid_arg "Event.fuse: span out of range";
-  let fstatics = Array.make (max !n_out 1) ignore in
-  List.iteri (fun j f -> fstatics.(!n_out - 1 - j) <- f) !out;
-  t.fstatics <- fstatics;
-  (* The fused view is only consulted when no partition pool is
-     installed, where tags are ignored — a same-length untagged array
-     keeps the batch-scheduling interface uniform. *)
-  t.fparts <- Array.make (max !n_out 1) (-1);
-  t.n_fused <- !n_out
+  t.n_static <- t.n_static + 1
 
 let once t f = t.dynamic <- f :: t.dynamic
 let notification_count t = t.notifications

@@ -13,37 +13,24 @@
 
 type t
 
-(** {2 Engine selection}
+(** {2 Engine name}
 
-    Two interchangeable execution engines drive the same three-phase
-    semantics:
-    {ul
-    {- [Classic] — the dynamic reference engine: closure queues, list
-       accumulators, per-instant allocation.  Unchanged semantics and
-       mechanics; the baseline every optimisation is diffed against.}
-    {- [Compiled] — the static-schedule engine produced by {!Elab}:
-       vector queues, a dense signal arena, preallocated update thunks
-       and optional partition-parallel evaluation.}}
+    There is one kernel.  Its name is kept because two formats and one
+    harness carry it: the [engine] field of a trace header
+    ([Tabv_trace.Meta]), which every recording writes as ["classic"];
+    the optional [engine] field of a serve [check] request; and the
+    benchmark harness, which stamps it into its machine record and its
+    trace headers ([perfbench/common.ml], [perfbench/runs.ml]). *)
 
-    Reports and metrics are byte-identical across engines: the
-    compiled loop increments every counter at the same point of the
-    same phase, and delta-delayed signal updates make within-delta
-    execution order unobservable. *)
+type engine = Classic
 
-type engine =
-  | Classic
-  | Compiled
-
+(** ["classic"]. *)
 val engine_name : engine -> string
 
-(** Parse ["classic" | "compiled"]. *)
+(** Parse ["classic"]; any other name is an error. *)
 val engine_of_string : string -> (engine, string) result
 
-(** Process-global default engine for subsequently created kernels
-    (initially [Classic]); set once by frontends ([tabv --engine],
-    campaign workers) before any kernel is created. *)
-val set_default_engine : engine -> unit
-
+(** Always [Classic]. *)
 val get_default_engine : unit -> engine
 
 (** How a {!run} ended.  [Completed] covers both an explicit {!stop}
@@ -92,27 +79,19 @@ val unguarded : guard
     [kernel.advance_phase]) on that registry; components created on
     this kernel ({!Signal}, {!Tlm}) instrument the same registry.
     Without [metrics] a private disabled registry is used: probes
-    still answer, push updates are no-ops.
-
-    [engine] fixes the execution engine for the kernel's lifetime
-    (default: {!get_default_engine}). *)
-val create : ?metrics:Tabv_obs.Metrics.t -> ?engine:engine -> unit -> t
+    still answer, push updates are no-ops. *)
+val create : ?metrics:Tabv_obs.Metrics.t -> unit -> t
 
 (** The registry this kernel (and everything created on it) reports to. *)
 val metrics : t -> Tabv_obs.Metrics.t
-
-(** The engine this kernel was created with. *)
-val engine : t -> engine
-
-val is_compiled : t -> bool
 
 (** The kernel's dense signal arena (slots are claimed by the typed
     {!Signal} constructors). *)
 val arena : t -> Arena.t
 
 (** Register a hook run at the start of every {!run}, in registration
-    order.  {!Elab} uses this to compile the activation schedule before
-    the first step. *)
+    order.  {!Elab} uses this to levelize the design before the first
+    step. *)
 val add_pre_run_hook : t -> (unit -> unit) -> unit
 
 (** Current simulation time (ns). *)
@@ -131,23 +110,13 @@ val schedule_after : t -> delay:int -> (unit -> unit) -> unit
 (** Make [f] runnable in the current evaluation phase. *)
 val schedule_now : t -> (unit -> unit) -> unit
 
-(** Make [f] runnable in the next delta cycle of the current instant.
-    Shim for {!schedule_next_delta_part} with an untagged partition;
-    elaborated designs carry partition tags instead (see {!Elab}). *)
+(** Make [f] runnable in the next delta cycle of the current instant. *)
 val schedule_next_delta : t -> (unit -> unit) -> unit
 
-(** Like {!schedule_next_delta}, tagging the action with the levelized
-    partition it belongs to ([-1] = untagged, runs inline on the main
-    domain).  Tags are ignored unless a partition pool is installed. *)
-val schedule_next_delta_part : t -> part:int -> (unit -> unit) -> unit
-
-(** [schedule_next_delta_batch t fs parts n] schedules the first [n]
-    entries of [fs] (with partition tags [parts], parallel arrays) for
-    the next delta in one call — {!Event.fire}'s fan-out path, with
-    the engine and pool dispatch hoisted out of the subscriber loop.
-    The arrays must have at least [n] entries. *)
-val schedule_next_delta_batch :
-  t -> (unit -> unit) array -> int array -> int -> unit
+(** [schedule_next_delta_batch t fs n] schedules the first [n] entries
+    of [fs] for the next delta, in order, in one call — {!Event}'s
+    fan-out path.  [fs] must have at least [n] entries. *)
+val schedule_next_delta_batch : t -> (unit -> unit) array -> int -> unit
 
 (** Register an update action for the update phase of the current
     delta (used by {!Signal}). *)
@@ -155,31 +124,6 @@ val request_update : t -> (unit -> unit) -> unit
 
 (** Stop the simulation at the end of the current evaluation phase. *)
 val stop : t -> unit
-
-(** Has {!stop} been called during the current run?  Fused activation
-    blocks (see {!Elab}) poll this between bodies so a [stop] issued
-    mid-block halts exactly where the classic per-action loop would. *)
-val stopping : t -> bool
-
-(** {2 Block-runner hooks}
-
-    A fused activation block replays several process bodies from one
-    scheduled action; these hooks let it keep the per-activation
-    bookkeeping identical to the evaluation loop's own. *)
-
-(** Is the current run containing crashes ([guard.contain_crashes])?
-    Blocks use this to decide whether to attribute and contain
-    per-body exceptions. *)
-val containing : t -> bool
-
-(** Count one extra evaluation-phase activation (the loop counts the
-    block itself as one; each additional body adds one). *)
-val add_activation : t -> unit
-
-(** Contain one process crash: count it and, if it is the first,
-    attribute it to the last labelled process — the same bookkeeping
-    the evaluation loop does for a crashing queued action. *)
-val record_crash : t -> exn -> unit
 
 (** Blocked-process accounting, maintained by {!Process} around event
     waits: a positive count at a quiescent end means event starvation
@@ -199,44 +143,9 @@ val set_label : t -> string -> unit
     watchdog of [guard] (default {!default_guard}) trips, or the
     optional [until] horizon (ns) would be crossed; returns the final
     simulation time.  How the run ended is available from
-    {!last_diagnosis}.  Re-entrant calls are rejected.
-
-    Dispatches to the engine fixed at {!create} through the {!ENGINE}
-    seam, after running the pre-run hooks. *)
+    {!last_diagnosis}.  Re-entrant calls are rejected.  The pre-run
+    hooks run first. *)
 val run : ?until:int -> ?guard:guard -> t -> int
-
-(** {2 Engine seam}
-
-    The two loops behind {!run}.  [run] on a module obtained from
-    {!engine_impl} must only be applied to kernels created with the
-    matching engine. *)
-
-module type ENGINE = sig
-  val name : string
-  val run : ?until:int -> ?guard:guard -> t -> int
-end
-
-val engine_impl : engine -> (module ENGINE)
-
-(** {2 Partition pool (compiled engine)}
-
-    [install_pool t ~domains ~partitions] attaches a worker-domain
-    pool that evaluates partition-tagged actions in parallel within
-    each delta cycle.  Requires the compiled engine, a disabled
-    metrics registry (push counters are not domain-safe), and at least
-    two partitions; [contain_crashes] runs are rejected while a pool
-    is installed.  Normally called through {!Elab.parallelize}, which
-    first proves the partitions share no signals. *)
-val install_pool : t -> domains:int -> partitions:int -> unit
-
-(** Stop and join the worker domains (idempotent).  Must be called
-    before the process exits if a pool was installed. *)
-val shutdown_pool : t -> unit
-
-val pool_active : t -> bool
-
-(** Worker domains currently attached (0 without a pool). *)
-val pool_domain_count : t -> int
 
 (** Diagnosis of the most recent {!run} ([Completed] before any run). *)
 val last_diagnosis : t -> diagnosis

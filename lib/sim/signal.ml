@@ -1,11 +1,10 @@
 (* Storage split: a generic signal keeps its value pair in its own
    record ([S_heap]); the typed constructors ([create_bool] & co.)
-   claim a slot of the kernel's dense arena instead ([S_slot]), so the
-   compiled engine's signal traffic is flat-array loads and stores
-   with a dirty-flag slot standing in for the per-signal pending flag.
-   Both
-   storages behave identically under both engines — the arena is a
-   layout change, not a semantics change. *)
+   claim a slot of the kernel's dense arena instead ([S_slot]), so
+   signal traffic is flat-array loads and stores with a dirty-flag
+   slot standing in for the per-signal pending flag.  Both storages
+   behave identically — the arena is a layout change, not a semantics
+   change. *)
 type 'a store =
   | S_heap
   | S_slot of {
@@ -19,14 +18,13 @@ type 'a t = {
   name : string;
   equal : 'a -> 'a -> bool;
   store : 'a store;
-  compiled : bool;
   mutable current : 'a;  (* S_heap storage; initial value for S_slot *)
   mutable next : 'a;
   mutable update_pending : bool;  (* S_heap; S_slot uses the dirty bit *)
   mutable transform : ('a -> 'a) option;  (* saboteur interposition *)
   changed : Event.t;
   mutable changes : int;
-  update_thunk : unit -> unit;  (* preallocated, compiled engine only *)
+  update_thunk : unit -> unit;  (* preallocated: no closure per update *)
   m_writes : Tabv_obs.Metrics.counter;  (* shared per kernel *)
   m_updates : Tabv_obs.Metrics.counter;
 }
@@ -41,7 +39,7 @@ let read t =
   | S_heap -> t.current
   | S_slot { pool; slot } -> Arena.get pool slot
 
-(* The engine-interface read: tracing and reporting go through this
+(* The observation read: tracing and reporting go through this
    alias instead of reaching into signal internals, so they are
    agnostic to where the value lives. *)
 let observe = read
@@ -103,7 +101,6 @@ let make kernel ~name ~equal ~store init =
       name;
       equal;
       store;
-      compiled = Kernel.is_compiled kernel;
       current = init;
       next = init;
       update_pending = false;
@@ -141,8 +138,7 @@ let create_int64 kernel ~name init =
 let schedule_update t =
   if not (pending t) then begin
     set_pending t;
-    if t.compiled then Kernel.request_update t.kernel t.update_thunk
-    else Kernel.request_update t.kernel (apply_update t)
+    Kernel.request_update t.kernel t.update_thunk
   end
 
 let write t v =

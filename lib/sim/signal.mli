@@ -20,7 +20,7 @@ val create : Kernel.t -> name:string -> ?equal:('a -> 'a -> bool) -> 'a -> 'a t
     These claim a slot of the kernel's {!Arena}: current/next values
     live in flat typed arrays, the pending-update flag in a dirty
     bitset, and equality is monomorphic.  Semantics are identical to
-    {!create} under both engines. *)
+    {!create}. *)
 
 val create_bool : Kernel.t -> name:string -> bool -> bool t
 val create_int : Kernel.t -> name:string -> int -> int t
@@ -34,9 +34,9 @@ val uid : 'a t -> int
 
 val read : 'a t -> 'a
 
-(** The engine-interface read used by tracing and reporting
-    ({!Trace_rec}, {!Trace_dump}): identical to {!read}, named to make
-    the engine-agnostic observation path explicit. *)
+(** The read used by tracing and reporting ({!Trace_rec},
+    {!Trace_dump}): identical to {!read}, named to make the
+    observation path explicit. *)
 val observe : 'a t -> 'a
 
 (** Schedule [v] as the value after the next update phase. *)

@@ -11,7 +11,10 @@ type t = {
   model : string;  (** CLI model name (DUV + abstraction level) *)
   seed : int;  (** workload seed *)
   ops : int;  (** workload size (operations / pixels) *)
-  engine : string;  (** simulation kernel engine name *)
+  engine : string;
+      (** simulation kernel name: ["classic"]; recordings made by
+          earlier builds under their second kernel say ["compiled"],
+          and read and recheck the same *)
 }
 
 val equal : t -> t -> bool

@@ -182,3 +182,15 @@ let arb_timed_nnf_and_trace =
       Printf.sprintf "%s\non trace:\n%s" (Ltl.to_string t)
         (Format.asprintf "%a" Trace.pp trace))
     Gen.(pair gen_ltl_timed_nnf gen_timed_trace)
+
+(* The real tabv binary, located relative to this executable (dune
+   builds both under _build/default; the test stanza depends on it). *)
+let tabv_exe =
+  Filename.concat
+    (Filename.dirname Sys.executable_name)
+    (Filename.concat ".." (Filename.concat "bin" "tabv.exe"))
+
+let contains haystack needle =
+  let n = String.length needle and h = String.length haystack in
+  let rec at i = i + n <= h && (String.sub haystack i n = needle || at (i + 1)) in
+  at 0

@@ -49,7 +49,7 @@ let () =
       Test_robustness.suite;
       Test_multiclock.suite;
       Test_obs.suite;
-      Test_engine.suite;
+      Test_elab.suite;
       Test_campaign.suite;
       Test_trace.suite;
       Test_serve.suite;

@@ -419,13 +419,8 @@ let journal_cases =
    qcheck suites prints a seed banner on stdout at module init, before
    main.ml's [_worker] hook can run, and that banner would corrupt the
    frame protocol.  The executor tests therefore run their workers out
-   of the real tabv binary, located relative to this executable
-   (dune builds both under _build/default; the test stanza depends on
-   it). *)
-let tabv_exe =
-  Filename.concat
-    (Filename.dirname Sys.executable_name)
-    (Filename.concat ".." (Filename.concat "bin" "tabv.exe"))
+   of the real tabv binary ({!Helpers.tabv_exe}). *)
+let tabv_exe = Helpers.tabv_exe
 
 let subprocess ?job_timeout_s () =
   Executor.config ?job_timeout_s ~worker_argv:[| tabv_exe; "_worker" |]

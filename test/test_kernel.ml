@@ -283,7 +283,62 @@ let watchdog_cases =
           Alcotest.failf "expected starved, got %s"
             (Kernel.diagnosis_to_string d)) ]
 
+(* --- pinned counters on the shipped models -------------------------- *)
+
+(* The kernel's counters on every shipped model, at seed 7 and 24
+   operations with the built-in property sets attached (the
+   `tabv check -m MODEL -n 24 --seed 7` run), pinned to the numbers
+   the kernel produced when it still had a second, independently
+   written loop to be diffed against.  Any change to scheduling order,
+   delta handling, update batching or time advance moves at least one
+   of them. *)
+let pinned =
+  (* model, activations, delta cycles, update actions, time advances,
+     simulated ns *)
+  [ ("des56-rtl", 6777, 968, 2564, 968, 4835);
+    ("des56-tlm-ca", 4832, 483, 0, 484, 4840);
+    ("des56-tlm-at", 770, 96, 0, 97, 4810);
+    ("des56-tlm-lt", 99, 48, 0, 50, 740);
+    ("colorconv-rtl", 800, 94, 973, 94, 465);
+    ("colorconv-tlm-ca", 600, 46, 0, 47, 470);
+    ("colorconv-tlm-at", 282, 40, 0, 41, 440);
+    ("memctrl-rtl", 1645, 274, 668, 274, 1365);
+    ("memctrl-tlm-ca", 1226, 136, 0, 137, 1370);
+    ("memctrl-tlm-at", 387, 96, 0, 98, 1350) ]
+
+let kernel_counters name =
+  let open Tabv_duv in
+  let model = Option.get (Models.of_name name) in
+  let properties, grid_properties = Models.properties_for model None in
+  let metrics = Tabv_obs.Metrics.create ~enabled:true () in
+  let r =
+    Models.run ~metrics model ~seed:7 ~ops:24 ~properties ~grid_properties
+  in
+  let gauge key =
+    match List.assoc_opt key r.Testbench.metrics with
+    | Some (Tabv_obs.Metrics.Gauge n) -> n
+    | Some _ | None -> Alcotest.failf "%s: no %s gauge" name key
+  in
+  ( r.Testbench.kernel_activations,
+    r.Testbench.delta_cycles,
+    gauge "kernel.update_actions",
+    gauge "kernel.time_advances",
+    r.Testbench.sim_time_ns )
+
+let pinned_cases =
+  [ run_kernel_case "shipped models hit the pinned kernel counters" (fun () ->
+      List.iter
+        (fun (name, activations, deltas, updates, advances, sim_ns) ->
+          let a, d, u, t, ns = kernel_counters name in
+          let check what = Alcotest.(check int) (name ^ " " ^ what) in
+          check "kernel_activations" activations a;
+          check "delta_cycles" deltas d;
+          check "update_actions" updates u;
+          check "time_advances" advances t;
+          check "sim_time_ns" sim_ns ns)
+        pinned) ]
+
 let suite =
   ( "kernel",
     scheduling_cases @ event_cases @ thread_cases @ watchdog_cases
-    @ stress_cases )
+    @ stress_cases @ pinned_cases )

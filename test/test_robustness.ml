@@ -82,4 +82,53 @@ let soak_cases =
         (List.map Int64.of_int (Tabv_duv.Memctrl_testbench.reference_reads ops))
         result.Tabv_duv.Testbench.outputs) ]
 
-let suite = ("robustness", suite_cases @ soak_cases)
+(* --- workload size at the CLI boundary ------------------------------ *)
+
+(* Run tabv with [args]; the exit status and what it wrote to stderr. *)
+let tabv args =
+  let err = Filename.temp_file "tabv_cli" ".err" in
+  Fun.protect ~finally:(fun () -> Sys.remove err) @@ fun () ->
+  let null = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
+  let fd = Unix.openfile err [ Unix.O_WRONLY; Unix.O_TRUNC ] 0 in
+  let pid =
+    Fun.protect
+      ~finally:(fun () ->
+        Unix.close null;
+        Unix.close fd)
+      (fun () ->
+        Unix.create_process Helpers.tabv_exe
+          (Array.of_list (Helpers.tabv_exe :: args))
+          Unix.stdin null fd)
+  in
+  let status =
+    match Unix.waitpid [] pid with
+    | _, Unix.WEXITED n -> n
+    | _, (Unix.WSIGNALED n | Unix.WSTOPPED n) -> -n
+  in
+  (status, In_channel.with_open_bin err In_channel.input_all)
+
+let cli_cases =
+  [ Alcotest.test_case "a negative --ops is a usage error, never a crash" `Quick
+      (fun () ->
+        let trace = Filename.temp_file "tabv_cli" ".trace" in
+        Sys.remove trace;
+        List.iter
+          (fun args ->
+            let status, err = tabv args in
+            let what = String.concat " " args in
+            Alcotest.(check int) (what ^ ": cmdliner usage status") 124 status;
+            Alcotest.(check bool)
+              (Printf.sprintf "%s: names the bound (%s)" what err)
+              true
+              (Helpers.contains err "non-negative");
+            Alcotest.(check bool) (what ^ ": no uncaught exception") false
+              (Helpers.contains err "Invalid_argument"))
+          [ [ "check"; "-m"; "des56-rtl"; "--ops=-3" ];
+            [ "record"; "-m"; "des56-rtl"; "--ops=-3"; "-o"; trace ] ];
+        Alcotest.(check bool) "record wrote no trace" false
+          (Sys.file_exists trace));
+    Alcotest.test_case "--ops 0 is still an empty run" `Quick (fun () ->
+        Alcotest.(check int) "exit status" 0
+          (fst (tabv [ "check"; "-m"; "des56-rtl"; "-n"; "0" ]))) ]
+
+let suite = ("robustness", suite_cases @ soak_cases @ cli_cases)

@@ -393,6 +393,115 @@ let handler_cases =
                 { manifest = J.Assoc [ ("jobs", J.List []) ]; workers = 1;
                   retries = None; journal = true }))) ]
 
+(* --- request decoding ------------------------------------------------- *)
+
+let decode json = Protocol.request_of_json json
+
+(* A valid wire request of each job kind, as a field list. *)
+let base_requests =
+  let fields job =
+    match Protocol.request_json ~id:3 (Protocol.Job job) with
+    | J.Assoc fields -> fields
+    | _ -> assert false
+  in
+  List.map fields
+    [ check_job ();
+      Protocol.Check
+        { model = Models.Memctrl_at; seed = 2; ops = 0; props = Some "";
+          engine = Some Tabv_sim.Kernel.Classic; trace_out = Some "t.trace" };
+      Protocol.Recheck
+        { trace = "t.trace"; props = None; workers = 2; retries = 1 };
+      Protocol.Campaign
+        { manifest = J.Assoc [ ("jobs", J.List []) ]; workers = 1;
+          retries = Some 0; journal = true };
+      Protocol.Qualify
+        { duv = Tabv_campaign.Campaign.Des56;
+          levels = [ Tabv_campaign.Campaign.Rtl ]; seed = 1; ops = 5;
+          workers = 1; retries = 1 } ]
+
+let with_field key value fields =
+  (key, value) :: List.filter (fun (k, _) -> k <> key) fields
+
+let decode_cases =
+  [ case "a negative ops is a protocol error on check and record" (fun () ->
+        List.iter
+          (fun op ->
+            let request =
+              J.Assoc
+                [ ("id", J.Int 1); ("op", J.String op);
+                  ("model", J.String "des56-rtl"); ("seed", J.Int 1);
+                  ("ops", J.Int (-3)); ("trace_out", J.String "t.trace") ]
+            in
+            match decode request with
+            | Error message ->
+              Alcotest.(check bool) (op ^ ": names the field") true
+                (contains message "ops")
+            | Ok _ -> Alcotest.failf "%s: ops -3 decoded" op)
+          [ "check"; "record" ];
+        match decode (J.Assoc (with_field "ops" (J.Int 0) (List.hd base_requests))) with
+        | Ok _ -> ()
+        | Error e -> Alcotest.failf "ops 0 must still decode: %s" e);
+    case "only the classic engine name decodes" (fun () ->
+        let verdict engine =
+          match decode (J.Assoc (with_field "engine" engine (List.hd base_requests))) with
+          | Ok _ -> true
+          | Error _ -> false
+        in
+        Alcotest.(check bool) "classic" true (verdict (J.String "classic"));
+        Alcotest.(check bool) "compiled" false (verdict (J.String "compiled"));
+        Alcotest.(check bool) "an int" false (verdict (J.Int 1));
+        Alcotest.(check bool) "garbage" false (verdict (J.String "\xff?")));
+    (* Start from a valid request of every kind and damage it: drop
+       fields, retype them, replace values — including the engine names
+       and negative counts.  Decoding must answer Ok or Error, never
+       raise. *)
+    Helpers.qtest ~count:1000 "request decoding never raises"
+      (let open QCheck.Gen in
+       let any_value =
+         oneof
+           [ return J.Null; map (fun b -> J.Bool b) bool;
+             map (fun n -> J.Int n) (oneof [ int; int_range (-5) 5 ]);
+             return (J.Int min_int); map (fun f -> J.Float f) float;
+             map (fun s -> J.String s) (string_size (int_range 0 8));
+             oneofl
+               [ J.String "classic"; J.String "compiled"; J.String "des56-rtl";
+                 J.String "check"; J.String "rtl" ];
+             return (J.List [ J.Int 1; J.String "x" ]);
+             return (J.Assoc [ ("jobs", J.Int 1) ]) ]
+       in
+       let keys =
+         [ "id"; "op"; "model"; "seed"; "ops"; "props"; "engine"; "trace_out";
+           "trace"; "workers"; "retries"; "manifest"; "journal"; "duv";
+           "levels" ]
+       in
+       let mutate fields =
+         oneof
+           [ (* drop a field *)
+             map
+               (fun k -> List.filter (fun (k', _) -> k' <> k) fields)
+               (oneofl keys);
+             (* retype or replace a value *)
+             map2 (fun k v -> with_field k v fields) (oneofl keys) any_value;
+             map
+               (fun e -> with_field "engine" e fields)
+               (oneofl
+                  [ J.String "classic"; J.String "compiled"; J.Int 7;
+                    J.String "\x00engine" ]);
+             map (fun n -> with_field "ops" (J.Int (-n)) fields) (int_range 1 1000) ]
+       in
+       let rec damage n fields =
+         if n = 0 then return fields else mutate fields >>= damage (n - 1)
+       in
+       QCheck.make
+         ~print:(fun fields -> J.to_string (J.Assoc fields))
+         (oneofl base_requests >>= fun fields ->
+          int_range 0 3 >>= fun n -> damage n fields))
+      (fun fields ->
+        match decode (J.Assoc fields) with
+        | Ok _ | Error _ -> true
+        | exception e ->
+          QCheck.Test.fail_reportf "raised %s" (Printexc.to_string e)) ]
+
 (* --- the daemon end to end -------------------------------------------- *)
 
 (* The expected one-shot report for [check_job]: fresh universe, same
@@ -448,6 +557,18 @@ let with_server ?(configure = fun c -> c) f =
                | _ -> ());
               Client.close client)
             (fun () -> f client socket)))
+
+(* A counter from a [stats] reply; -1 when it is missing. *)
+let counter_value json name =
+  match J.member "metrics" json with
+  | Some metrics ->
+    (match J.member name metrics with
+     | Some counter ->
+       (match J.member "value" counter with
+        | Some (J.Int n) -> n
+        | _ -> -1)
+     | None -> -1)
+  | None -> -1
 
 let report_of = function
   | Client.Result { report; _ } -> report
@@ -763,23 +884,36 @@ let serve_cases =
              | Client.Failed msg -> Alcotest.fail msg);
             (match Client.control client Protocol.Stats with
              | Client.Stats json ->
-               let timed_out =
-                 match J.member "metrics" json with
-                 | Some metrics ->
-                   (match J.member "serve.connections_timed_out" metrics with
-                    | Some counter ->
-                      (match J.member "value" counter with
-                       | Some (J.Int n) -> n
-                       | _ -> -1)
-                    | None -> -1)
-                 | None -> -1
-               in
                Alcotest.(check int) "exactly the silent connection timed out" 1
-                 timed_out
+                 (counter_value json "serve.connections_timed_out")
              | _ -> Alcotest.fail "expected stats");
             Client.close doomed)) ]
+
+let refusal_cases =
+  [ slow_case "a negative ops request is refused before admission" (fun () ->
+        with_server (fun client _socket ->
+            let id = Client.fresh_id client in
+            Client.send_request client ~id
+              (Protocol.Job (check_job ~ops:(-3) ()));
+            (match Client.next_event client with
+             | Ok (event_id, Protocol.Error { message }) ->
+               Alcotest.(check int) "answered under the request's id" id
+                 event_id;
+               Alcotest.(check bool)
+                 (Printf.sprintf "a protocol error naming ops: %s" message)
+                 true (contains message "ops")
+             | Ok _ -> Alcotest.fail "expected a protocol error"
+             | Error e -> Alcotest.fail e);
+            match Client.control client Protocol.Stats with
+            | Client.Stats json ->
+              Alcotest.(check int) "no request admitted" 0
+                (counter_value json "serve.requests_total");
+              Alcotest.(check int) "no warm miss (never reached a worker)" 0
+                (counter_value json "serve.warm_misses")
+            | _ -> Alcotest.fail "expected stats")) ]
 
 let suite =
   ( "serve",
     sched_cases @ breaker_cases @ warm_cases @ frame_cases @ frame_fuzz_cases
-    @ journal_cases @ handler_cases @ serve_cases )
+    @ journal_cases @ handler_cases @ decode_cases @ serve_cases
+    @ refusal_cases )

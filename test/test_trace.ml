@@ -589,10 +589,10 @@ let offline_cases =
 
 (* --- parallel re-checking ----------------------------------------- *)
 
-let record_des56 path ops_count =
+let record_des56 ?(engine = "classic") path ops_count =
   let ops = Tabv_duv.Workload.des56 ~seed:5 ~count:ops_count () in
   let run_meta =
-    { Meta.model = "des56-rtl"; seed = 5; ops = ops_count; engine = "classic" }
+    { Meta.model = "des56-rtl"; seed = 5; ops = ops_count; engine }
   in
   Writer.with_file ~path run_meta (fun w ->
       Tabv_duv.Testbench.run_des56_rtl ~trace_writer:w
@@ -631,6 +631,24 @@ let recheck_cases =
           let one = report 1 in
           Alcotest.(check string) "1 = 3 workers" one (report 3);
           Alcotest.(check string) "1 = 16 workers" one (report 16)));
+    case "a recording from the compiled engine still rechecks" (fun () ->
+      (* Earlier builds had a second kernel and wrote its name,
+         "compiled", into the header of traces recorded under it.
+         Nothing may branch on that string: the old recording must
+         recheck to the report of the classic-header trace of the same
+         run. *)
+      let report engine =
+        with_temp (fun path ->
+            ignore (record_des56 ~engine path 15);
+            let meta, _ = Tabv_campaign.Recheck.probe path in
+            Alcotest.(check string) "header engine" engine meta.Meta.engine;
+            Tabv_core.Report_json.to_string
+              (Tabv_campaign.Recheck.report_json
+                 (Tabv_campaign.Recheck.run ~workers:2 ~retries:0 ~trace:path
+                    Tabv_duv.Des56_props.all)))
+      in
+      Alcotest.(check string) "same verdict report" (report "classic")
+        (report "compiled"));
     case "property sources re-parse to the same property" (fun () ->
       (* Machine-abstracted properties may carry expression-level
          boolean connectives where the parser builds LTL-level ones
