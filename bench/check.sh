@@ -8,10 +8,13 @@
 #                         format check is advisory on machines without it)
 #   2. dune build        (whole tree, warnings-as-errors per dune-project)
 #   3. dune runtest      (tier-1: unit + property-based suites, including
-#                         the interned-vs-legacy engine equivalence)
+#                         the interned-vs-legacy engine equivalence; the
+#                         legacy reference lives in the test-side
+#                         tabv_reference library, test/reference/)
 #   4. bench/main.exe --quick --cache-only
-#                        (replays recorded traces under both engines,
-#                         asserts outcome equivalence, writes
+#                        (replays recorded traces through Offline.Monitors
+#                         and the tabv_reference legacy checker, asserts
+#                         outcome equivalence, writes
 #                         BENCH_checker_cache.json, and FAILS if the
 #                         interned engine is below the 1.5x speedup floor)
 #   5. bench/main.exe --quick --obs-only

@@ -224,17 +224,30 @@ let ablation_grid_wrapper ops =
     t_grid
     ((t_grid -. t_base) /. t_base *. 100.)
 
+(* Sec. IV: the wrapper is independent of the checker generator.  One
+   recorded DES56 RTL trace is checked offline by both generators —
+   the production interned progression and the test-side tabled
+   automaton — so the times compare the checkers alone, without the
+   simulation.  The stutter fast path is off: it would skip the very
+   steps being compared. *)
 let ablation_checker_backend ops =
   print_endline
-    "=== Ablation: checker synthesis backend (DES56 RTL, all 9 checkers) ===";
+    "=== Ablation: checker synthesis backend (DES56 RTL trace, all 9 \
+     checkers, offline) ===";
+  let trace =
+    match (Testbench.run_des56_rtl ~record_trace:true ops).Testbench.trace with
+    | Some trace -> trace
+    | None -> failwith "ablation: testbench recorded no trace"
+  in
+  let props = Des56_props.all in
+  let module Prog = Tabv_checker.Offline.Run (Tabv_checker.Offline.Monitors) in
+  let module Auto = Tabv_checker.Offline.Run (Tabv_reference.List_checker.Automaton) in
   let t_prog =
     timed (fun () ->
-      Testbench.run_des56_rtl ~engine:`Progression ~properties:Des56_props.all ops)
+      Prog.over_trace (Tabv_checker.Offline.Monitors.config ~stutter:false props) trace)
   in
-  let t_auto =
-    timed (fun () ->
-      Testbench.run_des56_rtl ~engine:`Automaton ~properties:Des56_props.all ops)
-  in
+  let t_auto = timed (fun () -> Auto.over_trace props trace) in
+  Printf.printf "%d evaluation points\n" (Trace.length trace);
   Printf.printf "formula progression (rewriting)  : %8.3f s\n" t_prog;
   Printf.printf "explicit-state automaton (tabled): %8.3f s  (%.2fx)\n\n" t_auto
     (t_prog /. t_auto)
@@ -274,35 +287,34 @@ let replicate_properties n props =
         props)
     (List.init n (fun i -> i))
 
+module Legacy_checker = Tabv_reference.List_checker.Legacy
+
 let assert_equivalent_outcomes level legacy interned =
   List.iter2
-    (fun (l : Tabv_checker.Replay.outcome) (i : Tabv_checker.Replay.outcome) ->
-      let open Tabv_checker in
-      let summary o =
-        ( List.map
-            (fun (f : Monitor.failure) ->
-              (f.Monitor.activation_time, f.Monitor.failure_time))
-            (Monitor.failures o.Replay.monitor),
-          Monitor.activations o.Replay.monitor,
-          Monitor.passes o.Replay.monitor,
-          Monitor.pending o.Replay.monitor )
+    (fun (l : Tabv_obs.Checker_snapshot.t) (i : Tabv_obs.Checker_snapshot.t) ->
+      let summary (s : Tabv_obs.Checker_snapshot.t) =
+        (s.failures, s.activations, s.passes, s.pending)
       in
       if summary l <> summary i then
         failwith
           (Printf.sprintf "checker_cache %s: engines disagree on %s" level
-             l.Replay.property.Property.name))
-    legacy interned
+             l.property_name))
+    (Legacy_checker.snapshots legacy)
+    (Tabv_checker.Offline.Monitors.snapshots interned)
 
 (* Replay with the offline stutter fast path off: this section isolates
    the per-step engine cost (interned vs legacy rewriting), and the
    fast path would skip exactly the steps being compared — equally for
-   both engines, diluting the ratio toward 1. *)
-let replay_run ?engine props trace =
+   both engines, diluting the ratio toward 1.  The legacy pool reads
+   every entry through the same entry environment. *)
+let replay_run props trace =
   let open Tabv_checker.Offline in
-  List.map
-    (fun (property, monitor) -> { Tabv_checker.Replay.property; monitor })
-    (let module R = Run (Monitors) in
-     R.over_trace (Monitors.config ?engine ~stutter:false props) trace)
+  let module R = Run (Monitors) in
+  R.over_trace (Monitors.config ~stutter:false props) trace
+
+let legacy_replay_run props trace =
+  let module R = Tabv_checker.Offline.Run (Legacy_checker) in
+  R.over_trace props trace
 
 let checker_cache_section ?(ops_count = 1000) ?(replicate = 8) () =
   print_endline
@@ -331,14 +343,11 @@ let checker_cache_section ?(ops_count = 1000) ?(replicate = 8) () =
       (fun (level, trace, props) ->
         (* Correctness first: both engines must agree on everything
            observable before their times are worth comparing. *)
-        let legacy_outcomes =
-          replay_run ~engine:`Progression_legacy props trace
-        in
+        let legacy_outcomes = legacy_replay_run props trace in
         let interned_outcomes = replay_run props trace in
         assert_equivalent_outcomes level legacy_outcomes interned_outcomes;
         let t_legacy =
-          timed (fun () ->
-            replay_run ~engine:`Progression_legacy props trace)
+          timed (fun () -> legacy_replay_run props trace)
         in
         let before = Tabv_checker.Progression.cache_stats () in
         let t_interned = timed (fun () -> replay_run props trace) in

@@ -87,23 +87,34 @@ let props_arg =
 
 (* --- property files ----------------------------------------------- *)
 
+(* A malformed property file is bad input, not a verdict: it exits
+   with the usage status (2), never the "a property failed" status
+   (1). *)
 let parse_props_file path =
   match Parser.file (read_file path) with
   | properties -> properties
   | exception Parser.Parse_error { line; col; message } ->
     Printf.eprintf "%s:%d:%d: %s\n" path line col message;
-    exit 1
+    exit 2
 
-let lint_props ~known properties =
-  List.iter
-    (fun p ->
-      match Property.unknown_signals ~known p with
-      | [] -> ()
-      | unknown ->
-        Printf.eprintf "warning: property %s mentions unknown signal(s): %s\n"
-          p.Property.name
-          (String.concat ", " unknown))
-    properties
+(* A property that reads a signal the environment does not drive could
+   only die mid-run on the unbound signal; refuse it up front, with
+   the usage status, naming every such property. *)
+let lint_props ~cmd ~known properties =
+  match
+    List.filter_map
+      (fun p ->
+        match Property.unknown_signals ~known p with
+        | [] -> None
+        | unknown ->
+          Some
+            (Printf.sprintf "property %s mentions unknown signal(s): %s"
+               p.Property.name
+               (String.concat ", " unknown)))
+      properties
+  with
+  | [] -> ()
+  | problems -> fail cmd (String.concat "; " problems)
 
 let properties_for = Models.properties_for
 let run_model = Models.run

@@ -52,60 +52,56 @@ let abstract_cmd =
                  language (ready for 'tabv check -p FILE' or 'tabv replay').")
   in
   let run file clock_period clock_periods removed summary json output =
-    match Parser.file (Cli.read_file file) with
-    | exception Parser.Parse_error { line; col; message } ->
-      Printf.eprintf "%s:%d:%d: %s\n" file line col message;
-      exit 1
-    | properties ->
-      let reports =
-        Tabv_core.Methodology.abstract_all ~clock_period ~clock_periods
-          ~abstracted_signals:removed properties
-      in
-      if json then
-        print_endline
-          (Tabv_core.Report_json.to_string (Tabv_core.Report_json.of_reports reports))
-      else if summary then Format.printf "%a@." Tabv_core.Methodology.pp_summary reports
-      else
-        List.iter (fun r -> Format.printf "%a@.@." Tabv_core.Methodology.pp_report r) reports;
-      (* Emit the surviving TLM property set on stdout in re-parseable
-         form. *)
-      let survivors = Tabv_core.Methodology.surviving reports in
-      if survivors <> [] && not json then begin
-        print_endline "-- abstracted TLM properties:";
-        List.iter
-          (fun q ->
-            Format.printf "property %s = %a %a;@." q.Property.name Ltl.pp
+    let properties = Cli.parse_props_file file in
+    let reports =
+      Tabv_core.Methodology.abstract_all ~clock_period ~clock_periods
+        ~abstracted_signals:removed properties
+    in
+    if json then
+      print_endline
+        (Tabv_core.Report_json.to_string (Tabv_core.Report_json.of_reports reports))
+    else if summary then Format.printf "%a@." Tabv_core.Methodology.pp_summary reports
+    else
+      List.iter (fun r -> Format.printf "%a@.@." Tabv_core.Methodology.pp_report r) reports;
+    (* Emit the surviving TLM property set on stdout in re-parseable
+       form. *)
+    let survivors = Tabv_core.Methodology.surviving reports in
+    if survivors <> [] && not json then begin
+      print_endline "-- abstracted TLM properties:";
+      List.iter
+        (fun q ->
+          Format.printf "property %s = %a %a;@." q.Property.name Ltl.pp
+            q.Property.formula Context.pp q.Property.context)
+        survivors
+    end;
+    match output with
+    | None -> ()
+    | Some path ->
+      let oc = open_out path in
+      let ppf = Format.formatter_of_out_channel oc in
+      Format.fprintf ppf "-- abstracted from %s (clock %d ns%s)@." file clock_period
+        (if removed = [] then ""
+         else "; removed: " ^ String.concat ", " removed);
+      List.iter
+        (fun r ->
+          match r.Tabv_core.Methodology.output with
+          | None -> ()
+          | Some q ->
+            if r.Tabv_core.Methodology.requires_review then
+              Format.fprintf ppf
+                "-- NOTE: %s requires human review (signal abstraction was not a \
+                 pure weakening)@."
+                q.Property.name;
+            if Tabv_core.Methodology.needs_dense_trace q.Property.formula then
+              Format.fprintf ppf
+                "-- NOTE: %s needs full-grid transactions (use the grid wrapper)@."
+                q.Property.name;
+            Format.fprintf ppf "property %s = %a %a;@." q.Property.name Ltl.pp
               q.Property.formula Context.pp q.Property.context)
-          survivors
-      end;
-      match output with
-      | None -> ()
-      | Some path ->
-        let oc = open_out path in
-        let ppf = Format.formatter_of_out_channel oc in
-        Format.fprintf ppf "-- abstracted from %s (clock %d ns%s)@." file clock_period
-          (if removed = [] then ""
-           else "; removed: " ^ String.concat ", " removed);
-        List.iter
-          (fun r ->
-            match r.Tabv_core.Methodology.output with
-            | None -> ()
-            | Some q ->
-              if r.Tabv_core.Methodology.requires_review then
-                Format.fprintf ppf
-                  "-- NOTE: %s requires human review (signal abstraction was not a \
-                   pure weakening)@."
-                  q.Property.name;
-              if Tabv_core.Methodology.needs_dense_trace q.Property.formula then
-                Format.fprintf ppf
-                  "-- NOTE: %s needs full-grid transactions (use the grid wrapper)@."
-                  q.Property.name;
-              Format.fprintf ppf "property %s = %a %a;@." q.Property.name Ltl.pp
-                q.Property.formula Context.pp q.Property.context)
-          reports;
-        Format.pp_print_flush ppf ();
-        close_out oc;
-        Printf.printf "wrote %d properties to %s\n" (List.length survivors) path
+        reports;
+      Format.pp_print_flush ppf ();
+      close_out oc;
+      Printf.printf "wrote %d properties to %s\n" (List.length survivors) path
   in
   let doc = "Abstract RTL properties into TLM properties (Methodology III.1)." in
   Cmd.v (Cmd.info "abstract" ~doc)
@@ -153,11 +149,7 @@ let simulate_run ~cmd trace_out model count seed props_file metrics_flag
     else None
   in
   let user = Option.map Cli.parse_props_file props_file in
-  (* Lint user properties against the model's interface. *)
-  (match user with
-   | Some properties ->
-     Cli.lint_props ~known:(Cli.known_signals model) properties
-   | None -> ());
+  Option.iter (Cli.lint_props ~cmd ~known:(Cli.known_signals model)) user;
   let properties, grid_properties = Cli.properties_for model user in
   let writer =
     match trace_out with
@@ -349,10 +341,9 @@ let recheck_cmd =
              trace_in Tabv_trace.Meta.pp meta)
     in
     let user = Option.map Cli.parse_props_file props in
-    (match user with
-     | Some properties ->
-       Cli.lint_props ~known:(Cli.known_signals model) properties
-     | None -> ());
+    Option.iter
+      (Cli.lint_props ~cmd:"recheck" ~known:(Cli.known_signals model))
+      user;
     let properties, grid_properties = Cli.properties_for model user in
     if grid_properties <> [] then
       fail
@@ -483,27 +474,26 @@ let replay_cmd =
       try Tabv_sim.Vcd_reader.load vcd with
       | Tabv_sim.Vcd_reader.Parse_error { line; message } ->
         Printf.eprintf "%s:%d: %s\n" vcd line message;
-        exit 1
+        exit 2
     in
-    let properties =
-      match Parser.file (Cli.read_file props) with
-      | properties -> properties
-      | exception Parser.Parse_error { line; col; message } ->
-        Printf.eprintf "%s:%d:%d: %s\n" props line col message;
-        exit 1
-    in
+    let properties = Cli.parse_props_file props in
+    Cli.lint_props ~cmd:"replay"
+      ~known:(List.map fst waveform.Tabv_sim.Vcd_reader.signals)
+      properties;
     Printf.printf "replaying %d evaluation points over %d signals\n"
       (Trace.length waveform.Tabv_sim.Vcd_reader.trace)
       (List.length waveform.Tabv_sim.Vcd_reader.signals);
-    let outcomes =
-      (Tabv_checker.Replay.run [@alert "-deprecated"])
-        properties waveform.Tabv_sim.Vcd_reader.trace
-    in
+    let module Run = Tabv_checker.Offline.Run (Tabv_checker.Offline.Monitors) in
     let monitors =
-      List.map (fun o -> o.Tabv_checker.Replay.monitor) outcomes
+      List.map snd
+        (Run.over_trace
+           (Tabv_checker.Offline.Monitors.config properties)
+           waveform.Tabv_sim.Vcd_reader.trace)
     in
     Format.printf "%a@." Tabv_checker.Coverage.pp_table monitors;
-    if not (Tabv_checker.Replay.all_passed outcomes) then exit 1
+    if
+      List.exists (fun m -> Tabv_checker.Monitor.failures m <> []) monitors
+    then exit 1
   in
   let doc = "Check properties offline against a recorded VCD waveform." in
   Cmd.v (Cmd.info "replay" ~doc) Term.(const run $ vcd $ props)

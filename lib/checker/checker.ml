@@ -15,13 +15,12 @@ module Attach = struct
       }
 
   type spec = {
-    engine : Monitor.engine option;
     sampler : Sampler.t;
     mode : mode;
     metrics : Tabv_obs.Metrics.t option;
   }
 
-  let spec ?engine ?metrics ~sampler mode = { engine; sampler; mode; metrics }
+  let spec ?metrics ~sampler mode = { sampler; mode; metrics }
   let clock_edge ?(clocks = []) clock = Clock_edge { clock; clocks }
   let transaction initiator = Transaction initiator
   let transaction_unabstracted initiator = Transaction_unabstracted initiator
@@ -102,7 +101,7 @@ let register_metrics metrics monitor =
   end
 
 let attach (spec : Attach.spec) kernel property =
-  let { Attach.engine; sampler; mode; metrics } = spec in
+  let { Attach.sampler; mode; metrics } = spec in
   (* Validate the property context against the requested mode before
      synthesizing anything. *)
   (match mode with
@@ -114,7 +113,7 @@ let attach (spec : Attach.spec) kernel property =
        invalid_arg "Checker.attach: clock_period must be positive";
      require_transaction_context ~what:"grid" property
    | Attach.Clock_edge _ -> require_clock_context ~what:"clock-edge" property);
-  let monitor = Monitor.create ?engine ~sampler property in
+  let monitor = Monitor.create ~sampler property in
   let max_eps = Ltl.max_eps property.Property.formula in
   let rec t =
     {

@@ -1,19 +1,17 @@
 open Tabv_psl
 open Tabv_sim
 
-(** Unified checker attachment.
+(** Checker attachment: the RTL checker and the TLM wrapper of
+    Sec. IV behind one entry point.
 
-    One entry point replaces the optional-argument triplication that
-    used to be spread over [Wrapper.attach], [Wrapper.attach_unabstracted],
-    [Wrapper.attach_grid] and [Rtl_checker.attach]: every way of
-    hooking a property {!Monitor} to a simulation is an
-    {!Attach.mode}, and everything else a checker needs — backend
-    engine, shared atom sampler, metrics registry — travels in one
-    {!Attach.spec} record.
+    Every way of hooking a property {!Monitor} to a simulation is an
+    {!Attach.mode}; everything else a checker needs — the shared atom
+    sampler and the metrics registry — travels in one {!Attach.spec}
+    record.
 
-    The legacy modules remain as thin shims over this module, so
-    existing call sites keep compiling; new code should build an
-    {!Attach.spec} and call {!attach}. *)
+    The paper sizes the wrapper's preallocated instance array [C] by
+    the property lifetime; {!array_size} reports that bound and
+    {!Monitor.peak_instances} the high-water mark actually reached. *)
 
 module Attach : sig
   (** How evaluation points are generated (Sec. III/IV of the paper):
@@ -44,19 +42,16 @@ module Attach : sig
 
   (** The full attachment request.  [sampler] reads the DUV's
       signals (see {!Sampler.create}); share one across every checker
-      observing the same evaluation points.  [engine] defaults to the
-      monitor's default backend and [metrics] to the kernel's registry
-      ({!Kernel.metrics}) — pass an explicit registry only to
-      segregate instrumentation. *)
+      observing the same evaluation points.  [metrics] defaults to the
+      kernel's registry ({!Kernel.metrics}) — pass an explicit
+      registry only to segregate instrumentation. *)
   type spec = {
-    engine : Monitor.engine option;
     sampler : Sampler.t;
     mode : mode;
     metrics : Tabv_obs.Metrics.t option;
   }
 
   val spec :
-    ?engine:Monitor.engine ->
     ?metrics:Tabv_obs.Metrics.t ->
     sampler:Sampler.t ->
     mode ->

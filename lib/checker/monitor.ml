@@ -10,34 +10,6 @@ type failure = Tabv_obs.Checker_snapshot.failure = {
   failure_time : int;
 }
 
-type engine =
-  [ `Progression
-  | `Progression_legacy
-  | `Automaton
-  ]
-
-(* The synthesis backends share the monitor through two live-instance
-   representations:
-   - the interned engine keeps a multiset of hash-consed states, each
-     carrying the activation times that reached it (the paper's array
-     [C] becomes [state -> activation times]);
-   - the legacy and automaton engines keep the original list of live
-     instances, one per activation. *)
-
-type backend =
-  | Interned_backend of Progression.t  (* initial obligation *)
-  | Legacy_backend
-  | Auto_backend of Automaton.t
-
-type list_obligation =
-  | Legacy_ob of Progression.Legacy.t
-  | Auto_ob of Automaton.state
-
-type instance = {
-  activated_at : int;
-  mutable obligation : list_obligation;
-}
-
 (* Counter deltas of the most recent {!step}, for the stutter fast
    path: when the caller knows the relevant valuation is unchanged
    since the previous evaluation point, a step whose outcome cannot
@@ -68,14 +40,12 @@ let failed = -2
 
 type t = {
   property : Property.t;
-  body : Ltl.t;
   temporal_body : bool;  (* vacuity only makes sense for temporal bodies *)
-  backend : backend;
+  initial : Progression.t;  (* the body's obligation, fresh per activation *)
   repeating : bool;  (* outer [always]: activate per evaluation point *)
-  gate : Expr.t option;
   gate_atom : Interned.t option;  (* gate as interned atom, for sharing *)
   sampler : Sampler.t;
-  (* Interned engine: the live multiset in arrays.  [states] holds the
+  (* The live multiset in arrays.  [states] holds the
      distinct live states in first-appearance order; every live
      instance is one ([inst_time], [inst_slot]) pair, ascending by
      activation time (activations only ever append the current,
@@ -88,7 +58,6 @@ type t = {
   mutable inst_time : int array;
   mutable inst_slot : int array;
   mutable n_inst : int;
-  mutable instances : instance list;  (* legacy/auto engines, newest first *)
   mutable started : bool;
   mutable failures : failure list;  (* unordered; sorted on read *)
   mutable activations : int;
@@ -114,54 +83,34 @@ let gate_of_context = function
   | Context.Transaction Context.Base_trans -> None
   | Context.Transaction (Context.Trans_and gate) -> Some gate
 
-let create ?(engine = `Progression) ~sampler property =
+let create ~sampler property =
   let normalized = Nnf.convert (Ltl.demote_booleans property.Property.formula) in
   let repeating, body =
     match normalized with
     | Ltl.Always body -> (true, body)
     | other -> (false, other)
   in
-  let interned_backend () = Interned_backend (Progression.of_formula body) in
-  let backend =
-    match engine with
-    | `Progression -> interned_backend ()
-    | `Progression_legacy -> Legacy_backend
-    | `Automaton ->
-      (* Bound the table so pathological bodies fall back to the
-         interned rewriting backend instead of exploding at synthesis
-         time. *)
-      (match Automaton.compile ~max_states:256 body with
-       | automaton -> Auto_backend automaton
-       | exception Automaton.Unsupported _ -> interned_backend ())
+  let initial = Progression.of_formula body in
+  let gate_atom =
+    Option.map Interned.atom (gate_of_context property.Property.context)
   in
-  let gate = gate_of_context property.Property.context in
-  let gate_atom = Option.map Interned.atom gate in
-  (* Batched sampling: hand the monitor's atom set to the sampler up
-     front, which compiles each atom's reader once.  Progression only
-     rewrites the registered formula, so the atom set is closed under
-     stepping; the interned backend is the one that reads atoms
-     through the sampler, and the gate is sampler-read on every
-     backend. *)
-  let states =
-    match backend with
-    | Interned_backend initial ->
-      ignore
-        (Ltl.map_atoms
-           (fun e ->
-             Sampler.register sampler (Interned.atom e);
-             e)
-           body);
-      Array.make 4 initial
-    | Legacy_backend | Auto_backend _ -> [||]
-  in
+  (* Batched sampling: hand the monitor's atom set (and its gate) to
+     the sampler up front, which compiles each atom's reader once.
+     Progression only rewrites the registered formula, so the atom set
+     is closed under stepping. *)
+  ignore
+    (Ltl.map_atoms
+       (fun e ->
+         Sampler.register sampler (Interned.atom e);
+         e)
+       body);
   Option.iter (Sampler.register sampler) gate_atom;
+  let states = Array.make 4 initial in
   {
     property;
-    body;
     temporal_body = not (Simple_subset.is_boolean body);
-    backend;
+    initial;
     repeating;
-    gate;
     gate_atom;
     sampler;
     states;
@@ -171,7 +120,6 @@ let create ?(engine = `Progression) ~sampler property =
     inst_time = Array.make (Array.length states) 0;
     inst_slot = Array.make (Array.length states) 0;
     n_inst = 0;
-    instances = [];
     started = false;
     failures = [];
     activations = 0;
@@ -199,18 +147,10 @@ let create ?(engine = `Progression) ~sampler property =
 
 let property t = t.property
 
-let engine t =
-  match t.backend with
-  | Interned_backend _ -> `Progression
-  | Legacy_backend -> `Progression_legacy
-  | Auto_backend _ -> `Automaton
-
 let record_failure t ~activation_time ~failure_time =
   t.failures <-
     { property_name = t.property.Property.name; activation_time; failure_time }
     :: t.failures
-
-(* --- interned engine: multiset of hash-consed states --------------- *)
 
 let grow arr need filler =
   if Array.length arr >= need then arr
@@ -323,93 +263,10 @@ let step_interned t ~time initial =
     + (Progression.handle_bypassed stats - bypassed0);
   if t.n_states > t.peak_distinct then t.peak_distinct <- t.n_states
 
-(* --- legacy / automaton engines: list of live instances ------------ *)
+(* --- step entry point ---------------------------------------------- *)
 
-let fresh_list_obligation t =
-  match t.backend with
-  | Legacy_backend -> Legacy_ob (Progression.Legacy.of_formula t.body)
-  | Auto_backend automaton -> Auto_ob (Automaton.initial automaton)
-  | Interned_backend _ -> assert false
-
-(* Per-evaluation-point context: the automaton backend evaluates the
-   atoms once and every instance steps by table lookup. *)
-type step_context =
-  | Legacy_ctx
-  | Auto_ctx of int
-
-let step_context t lookup =
-  match t.backend with
-  | Legacy_backend | Interned_backend _ -> Legacy_ctx
-  | Auto_backend automaton -> Auto_ctx (Automaton.valuation automaton lookup)
-
-let step_list_obligation t ~time lookup ctx = function
-  | Legacy_ob ob -> Legacy_ob (Progression.Legacy.step ~time lookup ob)
-  | Auto_ob state ->
-    (match t.backend, ctx with
-     | Auto_backend automaton, Auto_ctx v ->
-       Auto_ob (Automaton.step_valuation automaton state v)
-     | (Legacy_backend | Interned_backend _ | Auto_backend _), _ ->
-       assert false)
-
-let list_obligation_verdict t = function
-  | Legacy_ob ob -> Progression.Legacy.verdict ob
-  | Auto_ob state ->
-    (match t.backend with
-     | Auto_backend automaton -> Automaton.verdict automaton state
-     | Legacy_backend | Interned_backend _ -> assert false)
-
-let record_outcome t ~time instance =
-  match list_obligation_verdict t instance.obligation with
-  | Some true ->
-    t.passes <- t.passes + 1;
-    false
-  | Some false ->
-    record_failure t ~activation_time:instance.activated_at ~failure_time:time;
-    false
-  | None -> true
-
-let step_list t ~time =
-  let lookup = Sampler.lookup t.sampler in
-  let ctx = step_context t lookup in
-  (* Evaluation of live instances. *)
-  let survivors =
-    List.filter
-      (fun instance ->
-        instance.obligation <-
-          step_list_obligation t ~time lookup ctx instance.obligation;
-        record_outcome t ~time instance)
-      t.instances
-  in
-  t.instances <- survivors;
-  (* Activation of a new instance. *)
-  let activate () =
-    let obligation =
-      step_list_obligation t ~time lookup ctx (fresh_list_obligation t)
-    in
-    match list_obligation_verdict t obligation with
-    | Some true ->
-      t.passes <- t.passes + 1;
-      t.trivial_passes <- t.trivial_passes + 1
-    | Some false ->
-      t.activations <- t.activations + 1;
-      record_failure t ~activation_time:time ~failure_time:time
-    | None ->
-      t.activations <- t.activations + 1;
-      t.instances <- { activated_at = time; obligation } :: t.instances
-  in
-  if t.repeating then activate ()
-  else if not t.started then activate ();
-  let distinct = List.length t.instances in
-  if distinct > t.peak_distinct then t.peak_distinct <- distinct
-
-(* --- shared step entry point --------------------------------------- *)
-
-let live_instances t =
-  match t.backend with
-  | Interned_backend _ -> t.n_inst
-  | Legacy_backend | Auto_backend _ -> List.length t.instances
-
-let nothing_live t = t.n_inst = 0 && t.instances == []
+let live_instances t = t.n_inst
+let nothing_live t = t.n_inst = 0
 
 let step_core t ~time =
   let gated_out =
@@ -419,9 +276,7 @@ let step_core t ~time =
   in
   if not gated_out then begin
     t.steps <- t.steps + 1;
-    (match t.backend with
-     | Interned_backend initial -> step_interned t ~time initial
-     | Legacy_backend | Auto_backend _ -> step_list t ~time);
+    step_interned t ~time t.initial;
     t.started <- true;
     let live = live_instances t in
     if live > t.peak then t.peak <- live
@@ -506,11 +361,7 @@ let passes t = t.passes
 let steps t = t.steps
 let pending t = live_instances t
 
-let distinct_states t =
-  match t.backend with
-  | Interned_backend _ -> t.n_states
-  | Legacy_backend | Auto_backend _ -> List.length t.instances
-
+let distinct_states t = t.n_states
 let peak_distinct_states t = t.peak_distinct
 let cache_hits t = t.cache_hits
 let cache_misses t = t.cache_misses
@@ -522,37 +373,21 @@ let cache_hit_rate t =
 let sampler t = t.sampler
 
 let evaluation_table t =
-  match t.backend with
-  | Interned_backend _ ->
-    let targets = ref [] in
-    for k = t.n_inst - 1 downto 0 do
-      match Progression.next_evaluation_time t.states.(t.inst_slot.(k)) with
-      | Some target -> targets := target :: !targets
-      | None -> ()
-    done;
-    List.sort compare !targets
-  | Legacy_backend | Auto_backend _ ->
-    List.sort compare
-      (List.filter_map
-         (fun instance ->
-           match instance.obligation with
-           | Legacy_ob ob -> Progression.Legacy.next_evaluation_time ob
-           | Auto_ob _ -> None)
-         t.instances)
+  let targets = ref [] in
+  for k = t.n_inst - 1 downto 0 do
+    match Progression.next_evaluation_time t.states.(t.inst_slot.(k)) with
+    | Some target -> targets := target :: !targets
+    | None -> ()
+  done;
+  List.sort compare !targets
 
 let trivial_passes t = t.trivial_passes
 let vacuous t = t.temporal_body && t.steps > 0 && t.activations = 0
 
-let engine_string t =
-  match engine t with
-  | `Progression -> "progression"
-  | `Progression_legacy -> "progression-legacy"
-  | `Automaton -> "automaton"
-
 let snapshot t =
   {
     Tabv_obs.Checker_snapshot.property_name = t.property.Property.name;
-    engine = engine_string t;
+    engine = "progression";
     activations = t.activations;
     passes = t.passes;
     trivial_passes = t.trivial_passes;

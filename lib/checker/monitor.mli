@@ -33,21 +33,9 @@ type failure = Tabv_obs.Checker_snapshot.failure = {
 
 type t
 
-(** Checker synthesis backend: interned formula rewriting with a
-    memoized transition cache ({!Progression}, the default), the
-    original tree-rewriting engine ([`Progression_legacy], kept as the
-    executable reference for equivalence testing and benchmarking), or
-    the explicit-state tabling of {!Automaton}.  [`Automaton] falls
-    back to [`Progression] when the body cannot be tabled (timed
-    [next_eps^tau] operators, too many atoms, state blow-up). *)
-type engine =
-  [ `Progression
-  | `Progression_legacy
-  | `Automaton
-  ]
-
-(** [create ?engine ~sampler property] prepares a monitor (default
-    engine: [`Progression]).  The formula is normalised (boolean
+(** [create ~sampler property] prepares a monitor: the checker is
+    synthesized by interned formula progression ({!Progression}).  The
+    formula is normalised (boolean
     demotion + NNF) internally, so any parser output is accepted.  The
     context gate is taken from the property's context
     ([Edge_and]/[Trans_and] expressions).  The monitor reads the
@@ -55,10 +43,7 @@ type engine =
     here, once; atom evaluations are shared with every other monitor
     holding the same sampler (one evaluation per distinct atom per
     instant). *)
-val create : ?engine:engine -> sampler:Sampler.t -> Property.t -> t
-
-(** The engine actually in use (after any fallback). *)
-val engine : t -> engine
+val create : sampler:Sampler.t -> Property.t -> t
 
 val property : t -> Property.t
 
@@ -76,7 +61,7 @@ val enable_memo : t -> unit
     evaluation point; it never changes the step's outcome, it only
     certifies the recorded counter deltas as steady so a later
     {!step_stuttered} may replay them (meaningful only under
-    {!enable_memo}).  On the default engine a step over untimed
+    {!enable_memo}).  A step over untimed
     obligations allocates nothing unless the live multiset grows past
     its arrays or a failure is recorded; timed ([next_eps^tau])
     obligations still build their successors. *)
@@ -122,12 +107,11 @@ val live_instances : t -> int
     paper's preallocated instance array would need. *)
 val peak_instances : t -> int
 
-(** Distinct hash-consed states currently live (equals
-    {!live_instances} for the legacy/automaton engines). *)
+(** Distinct hash-consed states currently live. *)
 val distinct_states : t -> int
 
 (** Peak number of simultaneously live distinct states — the size the
-    interned engine's state multiset actually needs, usually far below
+    monitor's state multiset actually needs, usually far below
     {!peak_instances}. *)
 val peak_distinct_states : t -> int
 
@@ -155,7 +139,7 @@ val steps : t -> int
 (** Pending instances are inconclusive at end of simulation. *)
 val pending : t -> int
 
-(** {2 Transition-cache statistics} (interned engine; zero otherwise) *)
+(** {2 Transition-cache statistics} *)
 
 (** Steps of this monitor answered from the shared transition memo. *)
 val cache_hits : t -> int
@@ -175,13 +159,10 @@ val sampler : t -> Sampler.t
     timed [next_eps^tau] obligation, sorted ascending. *)
 val evaluation_table : t -> int list
 
-(** The backend in use, as the string stored in snapshots:
-    ["progression"], ["progression-legacy"] or ["automaton"]. *)
-val engine_string : t -> string
-
 (** One-shot record of every counter above plus the deterministic
     failure list — the single stats currency consumed by
-    [Tabv_core.Report_json] and the testbenches. *)
+    [Tabv_core.Report_json] and the testbenches.  Its [engine] field
+    is always ["progression"]. *)
 val snapshot : t -> Tabv_obs.Checker_snapshot.t
 
 val pp_failure : Format.formatter -> failure -> unit

@@ -127,7 +127,6 @@ end
 
 module Monitors = struct
   type monitor_config = {
-    engine : Monitor.engine option;
     stutter : bool;
     properties : Property.t list;
   }
@@ -163,10 +162,9 @@ module Monitors = struct
 
   let name = "monitors"
 
-  let config ?engine ?(stutter = true) properties =
-    { engine; stutter; properties }
+  let config ?(stutter = true) properties = { stutter; properties }
 
-  let init { engine; stutter; properties } =
+  let init { stutter; properties } =
     (* One shared sampler across the pool, as in live checking: each
        distinct atom is compiled once, against the trace entry's
        slots, and evaluated once per entry no matter how many
@@ -176,7 +174,7 @@ module Monitors = struct
     let pool =
       List.map
         (fun p ->
-          let m = Monitor.create ?engine ~sampler p in
+          let m = Monitor.create ~sampler p in
           if stutter then Monitor.enable_memo m;
           (p, m))
         properties

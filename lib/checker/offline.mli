@@ -18,7 +18,9 @@ open Tabv_psl
     {- {!Stats} — structural trace statistics (evaluation points, time
        range, per-signal change counts, span latencies).}}
 
-    {!Replay.run} is a deprecated shim over {!Monitors}. *)
+    The reference generators of the test-side [tabv_reference]
+    library implement the same signature over the same
+    {!Entry_env}. *)
 
 module type OFFLINE_CHECKER = sig
   type config
@@ -52,6 +54,23 @@ module Run (C : OFFLINE_CHECKER) : sig
   val over_file : C.config -> string -> C.result
 end
 
+(** The environment of the current trace entry, as compiled atom
+    readers see it: {!resolve} hands out readers that return the value
+    the current sample binds (the first occurrence winning, as
+    [List.assoc_opt] on the sample's env) and raise
+    {!Tabv_psl.Expr.unbound_signal} for a signal the sample lacks.
+    {!Monitors} reads every entry through one. *)
+module Entry_env : sig
+  type t
+
+  val create : unit -> t
+
+  (** Make a sample's env the current one. *)
+  val set : t -> (string * Expr.value) list -> unit
+
+  val resolve : t -> Expr.resolver
+end
+
 (** {1 Built-in instances} *)
 
 (** The interned-LTL monitor pool as an offline checker: one fresh
@@ -61,7 +80,6 @@ end
     evaluation points only. *)
 module Monitors : sig
   type monitor_config = {
-    engine : Monitor.engine option;
     stutter : bool;
         (** enable the stutter fast path (support masks, counter-delta
             replay, batched stutter runs).  On by default; the verdicts
@@ -76,7 +94,7 @@ module Monitors : sig
       with type config = monitor_config
        and type result = (Property.t * Monitor.t) list
 
-  val config : ?engine:Monitor.engine -> ?stutter:bool -> Property.t list -> config
+  val config : ?stutter:bool -> Property.t list -> config
 
   (** Per-property counters in property order, ready for reporting. *)
   val snapshots : result -> Tabv_obs.Checker_snapshot.t list
@@ -90,7 +108,7 @@ module Cover : sig
       with type config = Monitors.monitor_config
        and type result = Coverage.summary
 
-  val config : ?engine:Monitor.engine -> ?stutter:bool -> Property.t list -> config
+  val config : ?stutter:bool -> Property.t list -> config
 end
 
 (** Structural statistics of a trace, no properties involved. *)

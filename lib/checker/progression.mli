@@ -138,27 +138,3 @@ val handle_bypassed : handle -> int
     writes.  This is the checker's hot path: a monitor hands its
     sampler's one evaluator to every state of its multiset. *)
 val step_atoms_in : handle -> time:int -> (Interned.t -> bool) -> t -> t
-
-(** {2 Reference engine} *)
-
-(** The original, non-interned tree-rewriting engine, kept as the
-    executable specification.  [Progression] and [Legacy] must agree
-    on verdicts, failure times and instance accounting on every trace;
-    [test/test_interned.ml] checks this property-based, and the bench
-    harness measures the speedup of the interned engine against it. *)
-module Legacy : sig
-  type t
-
-  val of_formula : Ltl.t -> t
-  val is_true : t -> bool
-  val is_false : t -> bool
-  val has_timed_wait : t -> bool
-  val next_evaluation_time : t -> int option
-  val step : time:int -> (string -> Expr.value option) -> t -> t
-  val verdict : t -> bool option
-  val pp : Format.formatter -> t -> unit
-end
-
-(** Alias for [Legacy.step]. *)
-val step_reference :
-  time:int -> (string -> Expr.value option) -> Legacy.t -> Legacy.t

@@ -119,15 +119,13 @@ let evaluator t ~time =
   refresh t ~time;
   t.eval
 
-let lookup t name = Option.map Expr.read (t.resolve name)
-
 (* Batched sampling: monitors register their atom sets at creation;
    the attach layer then primes the sampler once per evaluation point,
    so the environment (signal arena or transaction mirror) is read in
    one pass and every monitor's step is answered from the cache.
    Priming counts its queries and evaluations exactly as [eval_atom]
-   would, so the accounting is identical on every engine and whether
-   or not a caller primes. *)
+   would, so the accounting is identical whether or not a caller
+   primes. *)
 
 let register t atom =
   if not (Array.exists (fun a -> a == atom) t.atoms) then begin

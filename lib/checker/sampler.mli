@@ -36,10 +36,6 @@ val eval_atom : t -> time:int -> Interned.t -> bool
     multiset allocates nothing. *)
 val evaluator : t -> time:int -> Interned.t -> bool
 
-(** The environment as a lookup function, for the interpreting
-    reference engines (allocates per call). *)
-val lookup : t -> string -> Expr.value option
-
 (** {2 Batched sampling}
 
     {!Monitor.create} registers every atom of its (normalized) formula
@@ -55,8 +51,8 @@ val register : t -> Interned.t -> unit
 
 (** [prime t ~time] evaluates every registered atom at [time]
     (idempotent per instant).  Queries and evaluations are counted
-    exactly as {!eval_atom} counts them, so they stay
-    engine-independent. *)
+    exactly as {!eval_atom} counts them, so they do not depend on
+    whether a caller primes. *)
 val prime : t -> time:int -> unit
 
 (** Number of atoms registered for priming. *)

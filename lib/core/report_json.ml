@@ -390,34 +390,6 @@ let verdict_report_json ~run ~properties () =
       ("run", Assoc run);
       ("properties", List (List.map checker_verdict_json properties)) ]
 
-let checker_stat_json ~property_name ~activations ~passes ~trivial_passes
-    ~vacuous ~peak_instances ~peak_distinct_states ~pending ~cache_hits
-    ~cache_misses ~failures () =
-  let total = cache_hits + cache_misses in
-  let hit_rate =
-    if total = 0 then 0. else float_of_int cache_hits /. float_of_int total
-  in
-  Assoc
-    [ ("property", String property_name);
-      ("activations", Int activations);
-      ("passes", Int passes);
-      ("trivial_passes", Int trivial_passes);
-      ("vacuous", Bool vacuous);
-      ("peak_instances", Int peak_instances);
-      ("peak_distinct_states", Int peak_distinct_states);
-      ("pending", Int pending);
-      ("cache_hits", Int cache_hits);
-      ("cache_misses", Int cache_misses);
-      ("cache_hit_rate", Float hit_rate);
-      ( "failures",
-        List
-          (List.map
-             (fun (activation_time, failure_time) ->
-               Assoc
-                 [ ("activation_time_ns", Int activation_time);
-                   ("failure_time_ns", Int failure_time) ])
-             failures) ) ]
-
 let engine_cache_json ~cache_hits ~cache_misses ~cache_bypassed ~distinct_states
     ~distinct_transitions ~interned_formulas () =
   let total = cache_hits + cache_misses + cache_bypassed in

@@ -19,7 +19,7 @@ let op_latency = function
   | Memctrl_iface.Write _ -> Memctrl_iface.write_latency
   | Memctrl_iface.Read _ -> Memctrl_iface.read_latency
 
-let run_rtl ?(properties = []) ?engine ?metrics ?trace_writer
+let run_rtl ?(properties = []) ?metrics ?trace_writer
     ?(gap_cycles = 2) ?fault_plan ?guard ops =
   let kernel = Kernel.create ?metrics () in
   let clock = Clock.create kernel ~name:"clk" ~period () in
@@ -30,7 +30,7 @@ let run_rtl ?(properties = []) ?engine ?metrics ?trace_writer
   let bindings = Memctrl_rtl.bindings model in
   let sampler = Testbench.pool_sampler kernel bindings in
   let checkers =
-    Testbench.attach_pool ?engine kernel (Checker.Attach.clock_edge clock)
+    Testbench.attach_pool kernel (Checker.Attach.clock_edge clock)
       sampler properties
   in
   Testbench.write_edges kernel clock bindings trace_writer;
@@ -79,7 +79,7 @@ let run_rtl ?(properties = []) ?engine ?metrics ?trace_writer
     faults_triggered = Testbench.faults_triggered_of faults;
   }
 
-let run_tlm_ca ?(properties = []) ?engine ?metrics ?trace_writer
+let run_tlm_ca ?(properties = []) ?metrics ?trace_writer
     ?(gap_cycles = 2) ?fault_plan ?guard ops =
   let kernel = Kernel.create ?metrics () in
   let model = Memctrl_tlm_ca.create kernel in
@@ -94,7 +94,7 @@ let run_tlm_ca ?(properties = []) ?engine ?metrics ?trace_writer
   let bindings = Memctrl_tlm_ca.bindings model in
   let sampler = Testbench.pool_sampler kernel bindings in
   let checkers =
-    Testbench.attach_pool ?engine kernel
+    Testbench.attach_pool kernel
       (Checker.Attach.transaction_unabstracted initiator)
       sampler properties
   in
@@ -144,7 +144,7 @@ let run_tlm_ca ?(properties = []) ?engine ?metrics ?trace_writer
     faults_triggered = Testbench.faults_triggered_of faults;
   }
 
-let run_tlm_at ?(properties = []) ?engine ?metrics ?trace_writer
+let run_tlm_at ?(properties = []) ?metrics ?trace_writer
     ?(gap_cycles = 2) ?write_latency_ns ?read_latency_ns ?fault_plan ?guard ops =
   let kernel = Kernel.create ?metrics () in
   let model = Memctrl_tlm_at.create ?write_latency_ns ?read_latency_ns kernel in
@@ -159,7 +159,7 @@ let run_tlm_at ?(properties = []) ?engine ?metrics ?trace_writer
   let bindings = Memctrl_tlm_at.bindings model in
   let sampler = Testbench.pool_sampler kernel bindings in
   let checkers =
-    Testbench.attach_pool ?engine kernel
+    Testbench.attach_pool kernel
       (Checker.Attach.transaction initiator)
       sampler properties
   in

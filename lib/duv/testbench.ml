@@ -82,9 +82,9 @@ let pool_sampler kernel bindings =
   sampler
 
 (* Attach one property pool through the unified entry point. *)
-let attach_pool ?engine kernel mode sampler properties =
+let attach_pool kernel mode sampler properties =
   List.map
-    (fun p -> Checker.attach (Checker.Attach.spec ?engine ~sampler mode) kernel p)
+    (fun p -> Checker.attach (Checker.Attach.spec ~sampler mode) kernel p)
     properties
 
 let metrics_snapshot kernel =
@@ -157,7 +157,7 @@ let period = 10
 
 (* --- DES56 / RTL --- *)
 
-let run_des56_rtl ?(properties = []) ?engine ?metrics ?(record_trace = false)
+let run_des56_rtl ?(properties = []) ?metrics ?(record_trace = false)
     ?trace_writer ?(gap_cycles = 2) ?fault ?fault_plan ?guard ops =
   let kernel = Kernel.create ?metrics () in
   let clock = Clock.create kernel ~name:"clk" ~period () in
@@ -169,7 +169,7 @@ let run_des56_rtl ?(properties = []) ?engine ?metrics ?(record_trace = false)
      once per instant across the whole checker pool. *)
   let sampler = pool_sampler kernel bindings in
   let checkers =
-    attach_pool ?engine kernel (Checker.Attach.clock_edge clock) sampler
+    attach_pool kernel (Checker.Attach.clock_edge clock) sampler
       properties
   in
   let recorder = Trace_rec.create () in
@@ -221,7 +221,7 @@ let run_des56_rtl ?(properties = []) ?engine ?metrics ?(record_trace = false)
 
 (* --- DES56 / TLM-CA --- *)
 
-let run_des56_tlm_ca ?(properties = []) ?engine ?metrics ?(record_trace = false)
+let run_des56_tlm_ca ?(properties = []) ?metrics ?(record_trace = false)
     ?trace_writer ?(gap_cycles = 2) ?fault_plan ?guard ops =
   let kernel = Kernel.create ?metrics () in
   let model = Des56_tlm_ca.create kernel in
@@ -241,7 +241,7 @@ let run_des56_tlm_ca ?(properties = []) ?engine ?metrics ?(record_trace = false)
   write_transactions kernel initiator bindings trace_writer;
   let sampler = pool_sampler kernel bindings in
   let checkers =
-    attach_pool ?engine kernel
+    attach_pool kernel
       (Checker.Attach.transaction_unabstracted initiator)
       sampler properties
   in
@@ -295,7 +295,7 @@ let run_des56_tlm_ca ?(properties = []) ?engine ?metrics ?(record_trace = false)
 
 (* --- DES56 / TLM-AT --- *)
 
-let run_des56_tlm_at ?(properties = []) ?(grid_properties = []) ?engine ?metrics
+let run_des56_tlm_at ?(properties = []) ?(grid_properties = []) ?metrics
     ?(record_trace = false) ?trace_writer ?(gap_cycles = 2) ?model_latency_ns
     ?fault_plan ?guard ops =
   let kernel = Kernel.create ?metrics () in
@@ -320,9 +320,9 @@ let run_des56_tlm_at ?(properties = []) ?(grid_properties = []) ?engine ?metrics
   let sampler = pool_sampler kernel bindings in
   let grid_sampler = pool_sampler kernel bindings in
   let checkers =
-    attach_pool ?engine kernel (Checker.Attach.transaction initiator) sampler
+    attach_pool kernel (Checker.Attach.transaction initiator) sampler
       properties
-    @ attach_pool ?engine kernel
+    @ attach_pool kernel
         (Checker.Attach.grid ~clock_period:Des56_iface.clock_period ())
         grid_sampler grid_properties
   in
@@ -371,7 +371,7 @@ let run_des56_tlm_at ?(properties = []) ?(grid_properties = []) ?engine ?metrics
 
 (* --- DES56 / TLM-LT --- *)
 
-let run_des56_tlm_lt ?(properties = []) ?engine ?metrics ?(gap_cycles = 2)
+let run_des56_tlm_lt ?(properties = []) ?metrics ?(gap_cycles = 2)
     ?fault_plan ?guard ops =
   let kernel = Kernel.create ?metrics () in
   let model = Des56_tlm_lt.create kernel in
@@ -385,7 +385,7 @@ let run_des56_tlm_lt ?(properties = []) ?engine ?metrics ?(gap_cycles = 2)
   let bindings = Des56_tlm_lt.bindings model in
   let sampler = pool_sampler kernel bindings in
   let checkers =
-    attach_pool ?engine kernel (Checker.Attach.transaction initiator) sampler
+    attach_pool kernel (Checker.Attach.transaction initiator) sampler
       properties
   in
   let outputs = ref [] in
@@ -434,7 +434,7 @@ let run_des56_tlm_lt ?(properties = []) ?engine ?metrics ?(gap_cycles = 2)
 let pack_ycbcr { Colorconv.y; cb; cr } =
   Int64.of_int (y lor (cb lsl 8) lor (cr lsl 16))
 
-let run_colorconv_rtl ?(properties = []) ?engine ?metrics ?(record_trace = false)
+let run_colorconv_rtl ?(properties = []) ?metrics ?(record_trace = false)
     ?trace_writer ?(gap_cycles = 2) ?fault_plan ?guard bursts =
   let kernel = Kernel.create ?metrics () in
   let clock = Clock.create kernel ~name:"clk" ~period () in
@@ -445,7 +445,7 @@ let run_colorconv_rtl ?(properties = []) ?engine ?metrics ?(record_trace = false
   let bindings = Colorconv_rtl.bindings model in
   let sampler = pool_sampler kernel bindings in
   let checkers =
-    attach_pool ?engine kernel (Checker.Attach.clock_edge clock) sampler
+    attach_pool kernel (Checker.Attach.clock_edge clock) sampler
       properties
   in
   let recorder = Trace_rec.create () in
@@ -505,7 +505,7 @@ let run_colorconv_rtl ?(properties = []) ?engine ?metrics ?(record_trace = false
     faults_triggered = faults_triggered_of faults;
   }
 
-let run_colorconv_tlm_ca ?(properties = []) ?engine ?metrics
+let run_colorconv_tlm_ca ?(properties = []) ?metrics
     ?(record_trace = false) ?trace_writer ?(gap_cycles = 2) ?fault_plan ?guard
     bursts =
   let kernel = Kernel.create ?metrics () in
@@ -527,7 +527,7 @@ let run_colorconv_tlm_ca ?(properties = []) ?engine ?metrics
   write_transactions kernel initiator bindings trace_writer;
   let sampler = pool_sampler kernel bindings in
   let checkers =
-    attach_pool ?engine kernel
+    attach_pool kernel
       (Checker.Attach.transaction_unabstracted initiator)
       sampler properties
   in
@@ -603,7 +603,7 @@ let cc_priority = function
   | Cc_read -> 2
   | Cc_write _ -> 3
 
-let run_colorconv_tlm_at ?(properties = []) ?(grid_properties = []) ?engine
+let run_colorconv_tlm_at ?(properties = []) ?(grid_properties = [])
     ?metrics ?(record_trace = false) ?trace_writer ?(gap_cycles = 2) ?fault_plan
     ?guard bursts =
   let kernel = Kernel.create ?metrics () in
@@ -626,9 +626,9 @@ let run_colorconv_tlm_at ?(properties = []) ?(grid_properties = []) ?engine
   let sampler = pool_sampler kernel bindings in
   let grid_sampler = pool_sampler kernel bindings in
   let checkers =
-    attach_pool ?engine kernel (Checker.Attach.transaction initiator) sampler
+    attach_pool kernel (Checker.Attach.transaction initiator) sampler
       properties
-    @ attach_pool ?engine kernel
+    @ attach_pool kernel
         (Checker.Attach.grid ~clock_period:Colorconv_iface.clock_period ())
         grid_sampler grid_properties
   in

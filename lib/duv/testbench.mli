@@ -19,15 +19,14 @@ open Tabv_checker
     statistics are one shared record from monitor to JSON report. *)
 type checker_stat = Tabv_obs.Checker_snapshot.t = {
   property_name : string;
-  engine : string;  (** backend actually used (after any fallback) *)
+  engine : string;  (** checker generator, always ["progression"] *)
   activations : int;
   passes : int;
   trivial_passes : int;
   vacuous : bool;  (** evaluated but never non-trivially activated *)
   peak_instances : int;
   peak_distinct_states : int;
-      (** peak distinct hash-consed states (interned engine; equals
-          [peak_instances] for the legacy/automaton backends) *)
+      (** peak distinct hash-consed states *)
   pending : int;
   steps : int;  (** evaluation points consumed (after context gating) *)
   cache_hits : int;  (** monitor steps answered from the transition memo *)
@@ -93,7 +92,6 @@ val pool_sampler :
 (** Attach every property through the unified {!Checker.attach} entry
     point with one shared mode/sampler. *)
 val attach_pool :
-  ?engine:Monitor.engine ->
   Tabv_sim.Kernel.t ->
   Checker.Attach.mode ->
   Sampler.t ->
@@ -148,12 +146,9 @@ val faults_triggered_of : Tabv_fault.Fault.installed option -> int
 (** {1 DES56} *)
 
 (** [gap_cycles] idle cycles between operations (default 2);
-    [fault] injects a design bug (see {!Des56_rtl.fault});
-    [engine] selects the checker synthesis backend (all run functions
-    take it). *)
+    [fault] injects a design bug (see {!Des56_rtl.fault}). *)
 val run_des56_rtl :
   ?properties:Property.t list ->
-  ?engine:Monitor.engine ->
   ?metrics:Tabv_obs.Metrics.t ->
   ?record_trace:bool ->
   ?trace_writer:Tabv_trace.Writer.t ->
@@ -168,7 +163,6 @@ val run_des56_rtl :
     model (the paper's TLM-CA rows). *)
 val run_des56_tlm_ca :
   ?properties:Property.t list ->
-  ?engine:Monitor.engine ->
   ?metrics:Tabv_obs.Metrics.t ->
   ?record_trace:bool ->
   ?trace_writer:Tabv_trace.Writer.t ->
@@ -186,7 +180,6 @@ val run_des56_tlm_ca :
 val run_des56_tlm_at :
   ?properties:Property.t list ->
   ?grid_properties:Property.t list ->
-  ?engine:Monitor.engine ->
   ?metrics:Tabv_obs.Metrics.t ->
   ?record_trace:bool ->
   ?trace_writer:Tabv_trace.Writer.t ->
@@ -197,7 +190,7 @@ val run_des56_tlm_at :
   Des56_iface.op list ->
   run_result
 (** [grid_properties] are checked with the grid-mode wrapper
-    ({!Wrapper.attach_grid}), which handles until-based timed
+    ({!Checker.Attach.grid}), which handles until-based timed
     properties such as the paper's [q2]. *)
 
 (** Loosely-timed model: operations complete within the write call;
@@ -205,7 +198,6 @@ val run_des56_tlm_at :
     properties are expected to fail (Theorem III.2's precondition). *)
 val run_des56_tlm_lt :
   ?properties:Property.t list ->
-  ?engine:Monitor.engine ->
   ?metrics:Tabv_obs.Metrics.t ->
   ?gap_cycles:int ->
   ?fault_plan:Tabv_fault.Fault.plan ->
@@ -217,7 +209,6 @@ val run_des56_tlm_lt :
 
 val run_colorconv_rtl :
   ?properties:Property.t list ->
-  ?engine:Monitor.engine ->
   ?metrics:Tabv_obs.Metrics.t ->
   ?record_trace:bool ->
   ?trace_writer:Tabv_trace.Writer.t ->
@@ -229,7 +220,6 @@ val run_colorconv_rtl :
 
 val run_colorconv_tlm_ca :
   ?properties:Property.t list ->
-  ?engine:Monitor.engine ->
   ?metrics:Tabv_obs.Metrics.t ->
   ?record_trace:bool ->
   ?trace_writer:Tabv_trace.Writer.t ->
@@ -242,7 +232,6 @@ val run_colorconv_tlm_ca :
 val run_colorconv_tlm_at :
   ?properties:Property.t list ->
   ?grid_properties:Property.t list ->
-  ?engine:Monitor.engine ->
   ?metrics:Tabv_obs.Metrics.t ->
   ?record_trace:bool ->
   ?trace_writer:Tabv_trace.Writer.t ->

@@ -18,7 +18,8 @@ type failure = {
 type t = {
   property_name : string;
   engine : string;
-      (** backend actually in use after fallback: ["progression"],
+      (** checker generator: ["progression"] for every production
+          monitor; the test-side reference generators write
           ["progression-legacy"] or ["automaton"] *)
   activations : int;
   passes : int;
@@ -26,8 +27,9 @@ type t = {
   vacuous : bool;  (** evaluated but never non-trivially activated *)
   peak_instances : int;
   peak_distinct_states : int;
-      (** peak distinct hash-consed states (interned engine; equals
-          [peak_instances] for the legacy/automaton backends) *)
+      (** peak distinct hash-consed states (equals [peak_instances]
+          for the reference generators, which keep one state per
+          instance) *)
   pending : int;
   steps : int;  (** evaluation points consumed (after context gating) *)
   cache_hits : int;  (** monitor steps answered from the transition memo *)

@@ -24,9 +24,9 @@ let sampler () = Sampler.create (resolve_from current)
 (* A sampler over one fixed lookup function (e.g. a model mirror). *)
 let fixed_sampler lookup = Sampler.create (resolve_from (ref lookup))
 
-let monitor ?engine ?sampler:s property =
+let monitor ?sampler:s property =
   let sampler = match s with Some s -> s | None -> sampler () in
-  Monitor.create ?engine ~sampler property
+  Monitor.create ~sampler property
 
 let step ?stuttered monitor ~time lookup =
   current := lookup;

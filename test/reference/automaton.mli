@@ -1,12 +1,14 @@
 open Tabv_psl
 
 (** Explicit-state checker synthesis: the FoCs-style alternative
-    backend.
+    generator.
 
     The paper's methodology is {e independent of the checker
     generator} (Sec. IV): any tool that turns a PSL simple-subset
     property into an executable monitor can sit under the wrapper.
-    This module provides a second generator beside {!Progression}:
+    This module provides a second generator beside
+    {!Tabv_checker.Progression}, run through the same wrapper
+    behaviour by {!List_checker.Automaton}:
     it tables the progression relation once, at synthesis time, into
     an explicit finite automaton —
     {ul

@@ -1,9 +1,16 @@
 open Tabv_psl
 open Tabv_checker
 
-(* The explicit-state (FoCs-style) checker backend must agree with the
-   formula-rewriting backend on every trace, and be compact on the
-   paper's properties. *)
+(* The explicit-state (FoCs-style) checker generator of the test-side
+   reference library must agree with the production formula-rewriting
+   monitor on every trace, and be compact on the paper's properties —
+   the Sec. IV claim that the wrapper is independent of the checker
+   generator. *)
+
+module Automaton = Tabv_reference.Automaton
+module Automaton_checker = Tabv_reference.List_checker.Automaton
+module Automaton_run = Offline.Run (Automaton_checker)
+module Monitors_run = Offline.Run (Offline.Monitors)
 
 let case name f = Alcotest.test_case name `Quick f
 
@@ -150,49 +157,69 @@ let equivalence_cases =
           in
           verdict = expected) ]
 
+(* One recorded DES56 RTL run, checked offline by the production
+   monitors and by the automaton generator. *)
+let des56_rtl_trace ?fault ops =
+  let result =
+    Tabv_duv.Testbench.run_des56_rtl ?fault ~record_trace:true ops
+  in
+  match result.Tabv_duv.Testbench.trace with
+  | Some trace -> trace
+  | None -> Alcotest.fail "testbench recorded no trace"
+
 let integration_cases =
   [ case "automaton engine verifies DES56 RTL like progression" (fun () ->
-      let ops = Tabv_duv.Workload.des56 ~seed:21 ~count:10 () in
+      let trace =
+        des56_rtl_trace (Tabv_duv.Workload.des56 ~seed:21 ~count:10 ())
+      in
+      let props = Tabv_duv.Des56_props.all in
       let prog =
-        Tabv_duv.Testbench.run_des56_rtl ~engine:`Progression
-          ~properties:Tabv_duv.Des56_props.all ops
+        Offline.Monitors.snapshots
+          (Monitors_run.over_trace (Offline.Monitors.config props) trace)
       in
       let auto =
-        Tabv_duv.Testbench.run_des56_rtl ~engine:`Automaton
-          ~properties:Tabv_duv.Des56_props.all ops
+        Automaton_checker.snapshots (Automaton_run.over_trace props trace)
       in
       List.iter2
-        (fun (p : Tabv_duv.Testbench.checker_stat)
-             (a : Tabv_duv.Testbench.checker_stat) ->
+        (fun (p : Tabv_obs.Checker_snapshot.t) (a : Tabv_obs.Checker_snapshot.t) ->
           Alcotest.(check string) "same property" p.property_name a.property_name;
+          Alcotest.(check string) "tagged" "automaton" a.engine;
           Alcotest.(check int) (p.property_name ^ " activations") p.activations
             a.activations;
           Alcotest.(check int) (p.property_name ^ " passes") p.passes a.passes;
-          Alcotest.(check int)
+          Alcotest.(check int) (p.property_name ^ " pending") p.pending a.pending;
+          Alcotest.(check bool)
             (p.property_name ^ " failures")
-            (List.length p.failures) (List.length a.failures))
-        prog.Tabv_duv.Testbench.checker_stats auto.Tabv_duv.Testbench.checker_stats);
+            true (p.failures = a.failures))
+        prog auto);
     case "automaton engine catches the same injected bug" (fun () ->
-      let ops = Tabv_duv.Workload.des56 ~seed:21 ~count:8 () in
-      let result =
-        Tabv_duv.Testbench.run_des56_rtl ~engine:`Automaton
-          ~fault:Tabv_duv.Des56_rtl.Rdy_one_cycle_late
-          ~properties:Tabv_duv.Des56_props.all ops
+      let trace =
+        des56_rtl_trace ~fault:Tabv_duv.Des56_rtl.Rdy_one_cycle_late
+          (Tabv_duv.Workload.des56 ~seed:21 ~count:8 ())
+      in
+      let auto =
+        Automaton_checker.snapshots
+          (Automaton_run.over_trace Tabv_duv.Des56_props.all trace)
       in
       Alcotest.(check bool) "failures found" true
-        (Tabv_duv.Testbench.total_failures result > 0));
-    case "engine reports the fallback" (fun () ->
-      (* A timed property cannot be tabled: the monitor silently falls
-         back to progression. *)
+        (Tabv_obs.Checker_snapshot.total_failures auto > 0));
+    case "Automaton.compile rejects q3 and tables p1" (fun () ->
+      (* A timed body cannot be tabled: the generator refuses it when
+         the checker is configured instead of falling back. *)
       let q3 = Parser.property_exn ~name:"q3" "always (!ds || nexte[1,170](rdy)) @tb" in
-      let monitor = Lookup_env.monitor ~engine:`Automaton q3 in
-      Alcotest.(check bool) "fell back" true (Monitor.engine monitor = `Progression);
-      let p1 = Tabv_duv.Des56_props.p1 in
-      let monitor = Lookup_env.monitor ~engine:`Automaton p1 in
-      Alcotest.(check bool) "tabled" true (Monitor.engine monitor = `Automaton)) ]
+      (match Automaton.compile_body q3.Property.formula with
+       | _ -> Alcotest.fail "expected Unsupported for q3"
+       | exception Automaton.Unsupported _ -> ());
+      (match Automaton_checker.init [ q3 ] with
+       | _ -> Alcotest.fail "expected Unsupported at config"
+       | exception Automaton.Unsupported _ -> ());
+      let automaton, _ =
+        Automaton.compile_body Tabv_duv.Des56_props.p1.Property.formula
+      in
+      Alcotest.(check bool) "p1 tabled" true (Automaton.state_count automaton > 2)) ]
 
 let monitor_equivalence_cases =
-  (* Differential testing at the monitor level: both engines must
+  (* Differential testing at the monitor level: both generators must
      produce identical counters on random always-properties, with the
      full instance-management machinery in the loop. *)
   [ Helpers.qtest ~count:50 "monitors agree across engines"
@@ -201,21 +228,19 @@ let monitor_equivalence_cases =
           Property.make ~name:"m"
             ~context:(Context.Transaction Context.Base_trans) (Ltl.Always f)
         in
-        let run engine =
-          let monitor = Lookup_env.monitor ~engine property in
-          for i = 0 to Trace.length trace - 1 do
-            let entry = Trace.get trace i in
-            Lookup_env.step monitor ~time:entry.Trace.time (Trace.lookup entry)
-          done;
-          ( Monitor.activations monitor,
-            Monitor.passes monitor,
-            Monitor.pending monitor,
-            List.length (Monitor.failures monitor) )
+        let summary (s : Tabv_obs.Checker_snapshot.t) =
+          (s.activations, s.passes, s.pending, s.failures)
         in
-        (* Skip when the body cannot be tabled (fallback makes the two
-           runs identical by construction). *)
-        let probe = Lookup_env.monitor ~engine:`Automaton property in
-        Monitor.engine probe <> `Automaton || run `Progression = run `Automaton) ]
+        (* Skip bodies the generator cannot table. *)
+        match Automaton_run.over_trace [ property ] trace with
+        | exception Automaton.Unsupported _ -> true
+        | auto ->
+          List.map summary (Automaton_checker.snapshots auto)
+          = List.map summary
+              (Offline.Monitors.snapshots
+                 (Monitors_run.over_trace
+                    (Offline.Monitors.config ~stutter:false [ property ])
+                    trace))) ]
 
 let suite =
   ("automaton",

@@ -70,8 +70,12 @@ let cases =
     case "rejects clock-context properties" (fun () ->
       let kernel = Tabv_sim.Kernel.create () in
       match
-        Tabv_checker.Wrapper.attach_grid kernel ~clock_period:10 Des56_props.p1
-          ~sampler:(Lookup_env.fixed_sampler (fun _ -> None))
+        Tabv_checker.Checker.(
+          attach
+            (Attach.spec
+               ~sampler:(Lookup_env.fixed_sampler (fun _ -> None))
+               (Attach.grid ~clock_period:10 ()))
+            kernel Des56_props.p1)
       with
       | _ -> Alcotest.fail "expected Invalid_argument"
       | exception Invalid_argument _ -> ()) ]

@@ -3,8 +3,11 @@ open Tabv_checker
 
 (* The interned checker core: hash-consing invariants, and
    property-based equivalence of the interned memoizing engine against
-   the legacy tree-rewriting engine it replaced (which is kept in
-   [Progression.Legacy] as the executable specification). *)
+   the legacy tree-rewriting engine it replaced (kept in the test-side
+   [Tabv_reference.Legacy] as the executable specification). *)
+
+module Legacy = Tabv_reference.Legacy
+module Legacy_checker = Tabv_reference.List_checker.Legacy
 
 let case name f = Alcotest.test_case name `Quick f
 let formula source = Parser.formula_only source
@@ -61,17 +64,16 @@ let hashcons_cases =
 
 let verdicts_agree (f, trace) =
   let ob = ref (Progression.of_formula f) in
-  let leg = ref (Progression.Legacy.of_formula f) in
+  let leg = ref (Legacy.of_formula f) in
   let ok = ref true in
   for i = 0 to Trace.length trace - 1 do
     let entry = Trace.get trace i in
     let lookup = Trace.lookup entry in
     ob := Progression.step ~time:entry.Trace.time lookup !ob;
-    leg := Progression.step_reference ~time:entry.Trace.time lookup !leg;
-    if Progression.verdict !ob <> Progression.Legacy.verdict !leg then ok := false;
+    leg := Legacy.step ~time:entry.Trace.time lookup !leg;
+    if Progression.verdict !ob <> Legacy.verdict !leg then ok := false;
     if
-      Progression.next_evaluation_time !ob
-      <> Progression.Legacy.next_evaluation_time !leg
+      Progression.next_evaluation_time !ob <> Legacy.next_evaluation_time !leg
     then ok := false
   done;
   !ok
@@ -86,33 +88,52 @@ let step_equivalence_cases =
 
 (* Full wrapper accounting must be independent of the engine: failure
    lists (with attribution), activation/pass/pending counters, peak
-   instance counts and the timed evaluation table. *)
+   instance counts and the timed evaluation table.  The monitor runs
+   over the trace as an offline pool with the stutter fast path off,
+   so every entry is a real step — exactly what the legacy pool
+   does. *)
 
-let run_monitor engine (f, trace) =
-  let property =
-    Property.make ~name:"eq" ~context:(Context.Transaction Context.Base_trans) f
+module Monitors_run = Offline.Run (Offline.Monitors)
+module Legacy_run = Offline.Run (Legacy_checker)
+
+let property_of f =
+  Property.make ~name:"eq" ~context:(Context.Transaction Context.Base_trans) f
+
+let run_monitor (f, trace) =
+  match
+    Monitors_run.over_trace
+      (Offline.Monitors.config ~stutter:false [ property_of f ])
+      trace
+  with
+  | [ (_, monitor) ] -> monitor
+  | _ -> assert false
+
+let failure_pairs failures =
+  List.map
+    (fun f -> (f.Monitor.activation_time, f.Monitor.failure_time))
+    failures
+
+let monitors_agree ((f, trace) as arg) =
+  let monitor = run_monitor arg in
+  let legacy =
+    match Legacy_run.over_trace [ property_of f ] trace with
+    | [ (_, legacy) ] -> legacy
+    | _ -> assert false
   in
-  let monitor = Lookup_env.monitor ~engine property in
-  for i = 0 to Trace.length trace - 1 do
-    let entry = Trace.get trace i in
-    Lookup_env.step monitor ~time:entry.Trace.time (Trace.lookup entry)
-  done;
-  monitor
-
-let summary monitor =
-  ( List.map
-      (fun f -> (f.Monitor.activation_time, f.Monitor.failure_time))
-      (Monitor.failures monitor),
+  ( failure_pairs (Monitor.failures monitor),
     ( Monitor.activations monitor,
       Monitor.passes monitor,
       Monitor.trivial_passes monitor,
       Monitor.pending monitor ),
     (Monitor.peak_instances monitor, Monitor.vacuous monitor),
     Monitor.evaluation_table monitor )
-
-let monitors_agree arg =
-  summary (run_monitor `Progression arg)
-  = summary (run_monitor `Progression_legacy arg)
+  = ( failure_pairs (Legacy_checker.failures legacy),
+      ( Legacy_checker.activations legacy,
+        Legacy_checker.passes legacy,
+        Legacy_checker.trivial_passes legacy,
+        Legacy_checker.pending legacy ),
+      (Legacy_checker.peak_instances legacy, Legacy_checker.vacuous legacy),
+      Legacy_checker.evaluation_table legacy )
 
 let monitor_equivalence_cases =
   [ Helpers.qtest ~count:300 "monitor accounting engine-independent (general)"
@@ -121,7 +142,7 @@ let monitor_equivalence_cases =
       Helpers.arb_timed_nnf_and_trace monitors_agree;
     Helpers.qtest ~count:200 "distinct states never exceed live instances"
       Helpers.arb_ltl_and_trace (fun arg ->
-        let monitor = run_monitor `Progression arg in
+        let monitor = run_monitor arg in
         Monitor.peak_distinct_states monitor <= Monitor.peak_instances monitor) ]
 
 (* --- shared sampler ------------------------------------------------ *)

@@ -105,6 +105,14 @@ let data_cases =
       (QCheck.make QCheck.Gen.(map Int64.of_int int))
       (fun v -> Tabv_duv.Duv_util.int_of_data v = 0 = (v = 0L)) ]
 
+let attach_transaction kernel initiator property =
+  let open Tabv_checker in
+  Checker.attach
+    (Checker.Attach.spec
+       ~sampler:(Lookup_env.fixed_sampler (fun _ -> None))
+       (Checker.Attach.transaction initiator))
+    kernel property
+
 let wrapper_sizing_cases =
   [ case "array_size matches the paper's q3 example" (fun () ->
       let kernel = Tabv_sim.Kernel.create () in
@@ -112,22 +120,18 @@ let wrapper_sizing_cases =
       let q3 =
         Parser.property_exn ~name:"q3" "always (!ds || nexte[1,170](rdy)) @tb"
       in
-      let wrapper =
-        Tabv_checker.Wrapper.attach kernel initiator q3 ~sampler:(Lookup_env.fixed_sampler (fun _ -> None))
-      in
+      let wrapper = attach_transaction kernel initiator q3 in
       Alcotest.(check int) "17 slots" 17
-        (Tabv_checker.Wrapper.array_size wrapper ~clock_period:10));
+        (Tabv_checker.Checker.array_size wrapper ~clock_period:10));
     case "array_size rounds up" (fun () ->
       let kernel = Tabv_sim.Kernel.create () in
       let initiator = Tabv_sim.Tlm.Initiator.create kernel ~name:"i" in
       let q =
         Parser.property_exn ~name:"q" "always (!ds || nexte[1,25](rdy)) @tb"
       in
-      let wrapper =
-        Tabv_checker.Wrapper.attach kernel initiator q ~sampler:(Lookup_env.fixed_sampler (fun _ -> None))
-      in
+      let wrapper = attach_transaction kernel initiator q in
       Alcotest.(check int) "3 slots" 3
-        (Tabv_checker.Wrapper.array_size wrapper ~clock_period:10)) ]
+        (Tabv_checker.Checker.array_size wrapper ~clock_period:10)) ]
 
 let json_cases =
   let open Tabv_core.Report_json in

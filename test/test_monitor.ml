@@ -68,32 +68,29 @@ let failure_cases =
       step monitor 20 (env ~a:false ~b:false);
       Alcotest.(check (list int)) "times" [ 0; 20 ]
         (List.map (fun f -> f.Monitor.failure_time) (Monitor.failures monitor)));
-    case "simultaneous failures report in activation order (all engines)" (fun () ->
+    case "simultaneous failures report in activation order" (fun () ->
       (* Three instances activated at 0/10/20 collapse into one
-         hash-consed state ('b until c') in the interned engine; when
-         it fails at 30 the report must still attribute one failure per
-         activation, ascending by activation time — independent of the
-         internal instance representation. *)
+         hash-consed state ('b until c'); when it fails at 30 the
+         report must still attribute one failure per activation,
+         ascending by activation time — independent of the internal
+         instance representation. *)
       let env3 ~a ~b ~c =
         lookup_of
           [ ("a", Expr.VBool a); ("b", Expr.VBool b); ("c", Expr.VBool c) ]
       in
-      List.iter
-        (fun engine ->
-          let monitor =
-            Lookup_env.monitor ~engine (prop "always(a || (b until c))")
-          in
-          step monitor 0 (env3 ~a:false ~b:true ~c:false);
-          step monitor 10 (env3 ~a:false ~b:true ~c:false);
-          step monitor 20 (env3 ~a:false ~b:true ~c:false);
-          step monitor 30 (env3 ~a:true ~b:false ~c:false);
-          Alcotest.(check (list (pair int int)))
-            "(activation, failure) pairs"
-            [ (0, 30); (10, 30); (20, 30) ]
-            (List.map
-               (fun f -> (f.Monitor.activation_time, f.Monitor.failure_time))
-               (Monitor.failures monitor)))
-        [ `Progression; `Progression_legacy; `Automaton ]) ]
+      let monitor = Lookup_env.monitor (prop "always(a || (b until c))") in
+      step monitor 0 (env3 ~a:false ~b:true ~c:false);
+      step monitor 10 (env3 ~a:false ~b:true ~c:false);
+      step monitor 20 (env3 ~a:false ~b:true ~c:false);
+      step monitor 30 (env3 ~a:true ~b:false ~c:false);
+      Alcotest.(check int) "one distinct state was live" 1
+        (Monitor.peak_distinct_states monitor);
+      Alcotest.(check (list (pair int int)))
+        "(activation, failure) pairs"
+        [ (0, 30); (10, 30); (20, 30) ]
+        (List.map
+           (fun f -> (f.Monitor.activation_time, f.Monitor.failure_time))
+           (Monitor.failures monitor))) ]
 
 let gating_cases =
   [ case "gated context skips evaluation points entirely" (fun () ->

@@ -80,6 +80,14 @@ let mapping_cases =
 
 (* End to end: a counter clocked by clkB (period 20 ns) while the
    default clock runs at 10 ns; the property samples clkB edges only. *)
+(* An RTL checker sampled at [clock] (or a named entry of [clocks]). *)
+let attach_edge ?(clocks = []) ~lookup kernel clock property =
+  let open Tabv_checker in
+  Checker.attach
+    (Checker.Attach.spec ~sampler:(Lookup_env.fixed_sampler lookup)
+       (Checker.Attach.clock_edge ~clocks clock))
+    kernel property
+
 let e2e_cases =
   [ case "checker samples the named clock" (fun () ->
       let kernel = Kernel.create () in
@@ -105,26 +113,22 @@ let e2e_cases =
         | _ -> None
       in
       let named =
-        Tabv_checker.Rtl_checker.attach ~clocks:[ ("clkB", clk_b) ] kernel clk_a
-          property ~sampler:(Lookup_env.fixed_sampler lookup)
+        attach_edge ~clocks:[ ("clkB", clk_b) ] ~lookup kernel clk_a property
       in
-      let default =
-        Tabv_checker.Rtl_checker.attach kernel clk_a wrong_clock
-          ~sampler:(Lookup_env.fixed_sampler lookup)
-      in
+      let default = attach_edge ~lookup kernel clk_a wrong_clock in
       Kernel.schedule_at kernel ~time:200 (fun () -> Kernel.stop kernel);
       ignore (Kernel.run kernel);
       Alcotest.(check int) "named-clock property holds" 0
-        (List.length (Tabv_checker.Rtl_checker.failures named));
+        (List.length (Tabv_checker.Checker.failures named));
       (* The same formula on the fast default clock sees cnt=2 on two
          consecutive edges and fails. *)
       Alcotest.(check bool) "default-clock property stutters" true
-        (Tabv_checker.Rtl_checker.failures default <> []));
+        (Tabv_checker.Checker.failures default <> []));
     case "unknown named clock rejected" (fun () ->
       let kernel = Kernel.create () in
       let clk = Clock.create kernel ~name:"clk" ~period:10 () in
       let p = Parser.property_exn ~name:"p" "always(a) @nosuch_pos" in
-      match Tabv_checker.Rtl_checker.attach kernel clk p ~sampler:(Lookup_env.fixed_sampler (fun _ -> None)) with
+      match attach_edge ~lookup:(fun _ -> None) kernel clk p with
       | _ -> Alcotest.fail "expected Invalid_argument"
       | exception Invalid_argument _ -> ()) ]
 

@@ -11,6 +11,8 @@
    - the offline Monitors pass over the same trace, with the stutter
      fast path on and off, must produce the live snapshots counter for
      counter (cache traffic, peaks and distinct states included);
+   - the trace written to a file and re-checked in two chunks
+     (Recheck.run ~workers:2) must produce the live verdict fields;
    - on entries of irregular shape, the offline pass must read what
      each entry's lookup function reads. *)
 
@@ -129,6 +131,26 @@ let offline ~stutter properties trace =
   Progression.reset_universe ();
   Offline.Monitors.snapshots
     (Monitors_run.over_trace (Offline.Monitors.config ~stutter properties) trace)
+
+(* The trace as a binary file, re-checked in two worker chunks; the
+   verdict fields of each snapshot (every counter but the transition
+   memo's, which depend on what shares a chunk's universe). *)
+let rechecked properties trace =
+  let path = Filename.temp_file "tabv_oracle" ".trace" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  let writer =
+    Tabv_trace.Writer.create ~path
+      { Tabv_trace.Meta.model = "oracle"; seed = 0; ops = 0; engine = "classic" }
+  in
+  Fun.protect ~finally:(fun () -> Tabv_trace.Writer.close writer) (fun () ->
+      List.iter
+        (fun { Trace.time; env } -> Tabv_trace.Writer.sample writer ~time env)
+        (Trace.to_list trace));
+  let result =
+    Tabv_campaign.Recheck.run ~workers:2 ~retries:0 ~trace:path properties
+  in
+  List.map Tabv_core.Report_json.checker_verdict_json
+    result.Tabv_campaign.Recheck.snapshots
 
 (* --- the specification ------------------------------------------------ *)
 
@@ -265,6 +287,11 @@ let cases =
       arb_case (fun (properties, trace) ->
         let reference = live properties trace in
         offline ~stutter:true properties trace = reference
-        && offline ~stutter:false properties trace = reference) ]
+        && offline ~stutter:false properties trace = reference);
+    Helpers.qtest ~count:150 "chunked recheck of the written trace equals live"
+      arb_case (fun (properties, trace) ->
+        rechecked properties trace
+        = List.map Tabv_core.Report_json.checker_verdict_json
+            (live properties trace)) ]
 
 let suite = ("oracle", cases)

@@ -107,6 +107,43 @@ let tabv args =
   in
   (status, In_channel.with_open_bin err In_channel.input_all)
 
+(* A temp file holding [contents], removed when the test process
+   exits. *)
+let temp_file suffix contents =
+  let path = Filename.temp_file "tabv_cli" suffix in
+  Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc contents);
+  at_exit (fun () -> try Sys.remove path with Sys_error _ -> ());
+  path
+
+(* A short recorded DES56 RTL trace and VCD waveform for the offline
+   commands to read. *)
+let with_inputs f =
+  let trace = temp_file ".trace" "" and vcd = temp_file ".vcd" "" in
+  Fun.protect
+    ~finally:(fun () ->
+      try Sys.remove (trace ^ ".new") with Sys_error _ -> ())
+    (fun () ->
+      Alcotest.(check int) "record the trace" 0
+        (fst (tabv [ "record"; "-m"; "des56-rtl"; "-n"; "2"; "-o"; trace ]));
+      Alcotest.(check int) "dump the waveform" 0
+        (fst (tabv [ "trace"; "-n"; "1"; "-o"; vcd ]));
+      f ~trace ~vcd)
+
+(* Every command line exits with the usage status (2), names what is
+   wrong, and raises nothing. *)
+let expect_usage_error ~mentions commands =
+  List.iter
+    (fun args ->
+      let status, err = tabv args in
+      let what = String.concat " " args in
+      Alcotest.(check int) (what ^ ": usage status") 2 status;
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: names %s (%s)" what mentions err)
+        true (Helpers.contains err mentions);
+      Alcotest.(check bool) (what ^ ": no uncaught exception") false
+        (Helpers.contains err "exception"))
+    commands
+
 let cli_cases =
   [ Alcotest.test_case "a negative --ops is a usage error, never a crash" `Quick
       (fun () ->
@@ -129,6 +166,33 @@ let cli_cases =
           (Sys.file_exists trace));
     Alcotest.test_case "--ops 0 is still an empty run" `Quick (fun () ->
         Alcotest.(check int) "exit status" 0
-          (fst (tabv [ "check"; "-m"; "des56-rtl"; "-n"; "0" ]))) ]
+          (fst (tabv [ "check"; "-m"; "des56-rtl"; "-n"; "0" ])));
+    Alcotest.test_case "an unknown signal in a property is a usage error"
+      `Quick (fun () ->
+        with_inputs @@ fun ~trace ~vcd ->
+        let props = temp_file ".psl" "property zz = always (nosuch -> rdy) @clk_pos;\n" in
+        expect_usage_error ~mentions:"nosuch"
+          [ [ "check"; "-m"; "des56-rtl"; "-n"; "2"; "-p"; props ];
+            [ "record"; "-m"; "des56-rtl"; "-n"; "2"; "-p"; props; "-o"; trace ^ ".new" ];
+            [ "recheck"; "-i"; trace; "-p"; props ];
+            [ "replay"; "--vcd"; vcd; "-p"; props ] ];
+        Alcotest.(check bool) "record wrote no trace" false
+          (Sys.file_exists (trace ^ ".new")));
+    Alcotest.test_case "a malformed property or VCD file is a usage error"
+      `Quick (fun () ->
+        with_inputs @@ fun ~trace ~vcd ->
+        let props = temp_file ".psl" "property zz = always (;\n" in
+        let bad_vcd =
+          temp_file ".vcd" "$var wire 1 ! ds $end\n$enddefinitions $end\n#10\n#5\n"
+        in
+        expect_usage_error ~mentions:(Filename.basename props)
+          [ [ "check"; "-m"; "des56-rtl"; "-n"; "2"; "-p"; props ];
+            [ "record"; "-m"; "des56-rtl"; "-n"; "2"; "-p"; props; "-o"; trace ^ ".new" ];
+            [ "recheck"; "-i"; trace; "-p"; props ];
+            [ "abstract"; props ];
+            [ "replay"; "--vcd"; vcd; "-p"; props ] ];
+        let good = temp_file ".psl" "property ok = always (ds -> rdy) @clk_pos;\n" in
+        expect_usage_error ~mentions:(Filename.basename bad_vcd)
+          [ [ "replay"; "--vcd"; bad_vcd; "-p"; good ] ]) ]
 
 let suite = ("robustness", suite_cases @ soak_cases @ cli_cases)

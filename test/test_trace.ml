@@ -3,8 +3,7 @@ open Tabv_trace
 
 (* The binary trace format: encode/decode round trips, damaged-file
    refusal, the writer's same-instant last-wins buffer, the offline
-   checker runner (including its equivalence with the deprecated
-   [Replay.run] shim), parallel re-checking, and the streaming reader's
+   checker runner, parallel re-checking, and the streaming reader's
    bounded memory. *)
 
 let case name f = Alcotest.test_case name `Quick f
@@ -514,28 +513,7 @@ module Monitors_run = Tabv_checker.Offline.Run (Tabv_checker.Offline.Monitors)
 module Stats_run = Tabv_checker.Offline.Run (Tabv_checker.Offline.Stats)
 
 let offline_cases =
-  [ case "deprecated Replay.run is the Monitors instance" (fun () ->
-      let trace = des56_trace 15 in
-      let props = Tabv_duv.Des56_props.all in
-      (* Reset the progression universe before each run so the
-         snapshot cache counters start from the same cold state. *)
-      Tabv_checker.Progression.reset_universe ();
-      let via_replay =
-        List.map
-          (fun o ->
-            Tabv_checker.Monitor.snapshot o.Tabv_checker.Replay.monitor)
-          ((Tabv_checker.Replay.run [@alert "-deprecated"]) props trace)
-      in
-      Tabv_checker.Progression.reset_universe ();
-      let via_offline =
-        Tabv_checker.Offline.Monitors.snapshots
-          (Monitors_run.over_trace
-             (Tabv_checker.Offline.Monitors.config props)
-             trace)
-      in
-      Alcotest.(check bool) "identical snapshots" true
-        (via_replay = via_offline));
-    case "over_file matches over_trace on a recorded run" (fun () ->
+  [ case "over_file matches over_trace on a recorded run" (fun () ->
       let trace = des56_trace 12 in
       let props = Tabv_duv.Des56_props.all in
       with_temp (fun path ->

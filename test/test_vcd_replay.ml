@@ -2,10 +2,7 @@ open Tabv_psl
 open Tabv_sim
 
 (* The VCD reader, and offline replay of checkers over parsed
-   waveforms.  The deprecated [Replay.run] shim is exercised on
-   purpose here (its equivalence with the offline runner is pinned in
-   test_trace.ml). *)
-[@@@alert "-deprecated"]
+   waveforms. *)
 
 let case name f = Alcotest.test_case name `Quick f
 
@@ -105,12 +102,21 @@ let roundtrip_cases =
        | Some (Expr.VInt v) -> Alcotest.(check int) "value" 0xBEEF v
        | _ -> Alcotest.fail "missing out")) ]
 
+module Monitors_run = Tabv_checker.Offline.Run (Tabv_checker.Offline.Monitors)
+
+(* The (property, monitor) pool of one offline pass over [trace]. *)
+let replay properties trace =
+  Monitors_run.over_trace (Tabv_checker.Offline.Monitors.config properties) trace
+
+let all_passed =
+  List.for_all (fun (_, m) -> Tabv_checker.Monitor.failures m = [])
+
 let replay_cases =
   [ case "replay passes on a conforming waveform" (fun () ->
       let parsed = Vcd_reader.parse sample_vcd in
       let q3 = Parser.property_exn ~name:"q3" "always (!ds || nexte[1,170](rdy)) @tb" in
-      let outcomes = Tabv_checker.Replay.run [ q3 ] parsed.Vcd_reader.trace in
-      Alcotest.(check bool) "passed" true (Tabv_checker.Replay.all_passed outcomes));
+      Alcotest.(check bool) "passed" true
+        (all_passed (replay [ q3 ] parsed.Vcd_reader.trace)));
     case "replay fails on a late waveform" (fun () ->
       let late =
         "$var wire 1 ! ds $end\n$var wire 1 \" rdy $end\n$enddefinitions $end\n\
@@ -118,8 +124,8 @@ let replay_cases =
       in
       let parsed = Vcd_reader.parse late in
       let q3 = Parser.property_exn ~name:"q3" "always (!ds || nexte[1,170](rdy)) @tb" in
-      let outcomes = Tabv_checker.Replay.run [ q3 ] parsed.Vcd_reader.trace in
-      Alcotest.(check bool) "failed" false (Tabv_checker.Replay.all_passed outcomes));
+      Alcotest.(check bool) "failed" false
+        (all_passed (replay [ q3 ] parsed.Vcd_reader.trace)));
     case "end-to-end: recorded DES56 trace replays clean" (fun () ->
       (* Record a live simulation trace, then replay the RTL property
          set offline over it. *)
@@ -128,15 +134,15 @@ let replay_cases =
       match result.Tabv_duv.Testbench.trace with
       | None -> Alcotest.fail "no trace"
       | Some trace ->
-        let outcomes = Tabv_checker.Replay.run Tabv_duv.Des56_props.all trace in
-        Alcotest.(check bool) "all pass" true (Tabv_checker.Replay.all_passed outcomes);
+        let outcomes = replay Tabv_duv.Des56_props.all trace in
+        Alcotest.(check bool) "all pass" true (all_passed outcomes);
         List.iter
-          (fun (outcome : Tabv_checker.Replay.outcome) ->
-            if outcome.Tabv_checker.Replay.property.Property.name <> "p8" then
+          (fun ((property : Property.t), monitor) ->
+            if property.name <> "p8" then
               Alcotest.(check bool)
-                (outcome.Tabv_checker.Replay.property.Property.name ^ " not vacuous")
+                (property.name ^ " not vacuous")
                 false
-                (Tabv_checker.Monitor.vacuous outcome.Tabv_checker.Replay.monitor))
+                (Tabv_checker.Monitor.vacuous monitor))
           outcomes) ]
 
 let suite = ("vcd_replay", reader_cases @ roundtrip_cases @ replay_cases)
